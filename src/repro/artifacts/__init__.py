@@ -9,10 +9,9 @@ tables lived in an in-memory dict.
 
 ``repro.artifacts`` makes the design-time phase durable:
 
-* :mod:`repro.artifacts.keys` — content-addressed keys for the two
-  artifact kinds (mobility tables, zero-latency ideal makespans), derived
-  from graph content, device sizing, arrival times and the manager
-  semantics where they matter;
+* :mod:`repro.artifacts.keys` — content-addressed keys for the
+  design-time artifact kinds (mobility tables, compiled workloads),
+  derived from graph content and device sizing where they matter;
 * :mod:`repro.artifacts.schema` — the versioned JSON envelope each entry
   is stored in, with strict encode/decode (JSON object keys are strings;
   mobility tables use integer node ids);
@@ -23,27 +22,22 @@ tables lived in an in-memory dict.
 
 :class:`repro.session.ArtifactCache` layers its in-memory dictionaries on
 top of a store (memory -> disk -> compute), so a cold ``Session.sweep``
-followed by a warm one in a *new process* skips every mobility/ideal
-recomputation.  The CLI exposes the store as ``repro cache
+followed by a warm one in a *new process* skips every mobility
+computation and workload compilation.  The CLI exposes the store as ``repro cache
 stats|clear|warm`` and ``--store DIR`` on the run/sweep/figure commands.
 """
 
 from repro.artifacts.keys import (
-    arrival_fingerprint,
     compiled_key,
     graphs_content_key,
-    ideal_key,
-    ideal_semantics_fingerprint,
     mobility_key,
     workload_content_key,
 )
 from repro.artifacts.schema import (
     SCHEMA_VERSION,
     decode_compiled,
-    decode_ideal,
     decode_mobility_tables,
     encode_compiled,
-    encode_ideal,
     encode_mobility_tables,
 )
 from repro.artifacts.store import ArtifactStore, StoreStats, default_store_root
@@ -52,18 +46,13 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "SCHEMA_VERSION",
-    "arrival_fingerprint",
     "compiled_key",
     "decode_compiled",
-    "decode_ideal",
     "decode_mobility_tables",
     "default_store_root",
     "encode_compiled",
-    "encode_ideal",
     "encode_mobility_tables",
     "graphs_content_key",
-    "ideal_key",
-    "ideal_semantics_fingerprint",
     "mobility_key",
     "workload_content_key",
 ]

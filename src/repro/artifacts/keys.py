@@ -7,16 +7,12 @@ actually depends on:
 
 * **mobility tables** — graph content, ``n_rus``, ``reconfig_latency``
   (a delay harmless on a wide device can be harmful on a narrow one);
-* **zero-latency ideal makespans** — workload content (graphs *and*
-  sequence order), ``n_rus``, the arrival times, and the projection of
-  the manager semantics that can shape a zero-latency schedule.
+* **compiled workloads** — workload content (graphs *and* sequence
+  order).
 
-Arrival times are part of the ideal key because the baseline must honour
-them: an application cannot start before it arrives, and booking that
-idle wait as reconfiguration overhead was the accounting bug this
-subsystem fixed (see :func:`repro.sim.simulator.ideal_makespan`).  The
-all-zero (saturated) arrival pattern canonicalises to a constant marker
-so explicitly-saturated runs share entries with default runs.
+Zero-latency ideals are not stored: they are folded from per-graph
+ideals that cost about as much as a store load (see
+:func:`repro.sim.simulator.folded_ideal`).
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ from typing import Optional, Sequence
 from repro.graphs.serialization import graph_to_dict
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
-from repro.sim.semantics import ManagerSemantics
-
-#: Canonical marker for "no arrival staggering" (None or all-zero times).
-SATURATED = "saturated"
 
 
 def _digest(payload: object) -> str:
@@ -68,37 +60,6 @@ def workload_content_key(workload) -> str:
     return _digest(payload)
 
 
-def arrival_fingerprint(arrival_times: Optional[Sequence[int]]) -> str:
-    """Canonical fingerprint of an arrival pattern.
-
-    ``None`` and the all-zero vector are the same saturated queue, so both
-    map to the :data:`SATURATED` marker; anything else digests the exact
-    times (staggered-arrival cells must not share a saturated baseline).
-    """
-    if arrival_times is None or not any(arrival_times):
-        return SATURATED
-    return _digest([int(t) for t in arrival_times])
-
-
-def ideal_semantics_fingerprint(semantics: ManagerSemantics) -> str:
-    """Fingerprint of the semantics fields that can shape a *zero-latency*
-    schedule.
-
-    The ideal baseline reconfigures for free, so every knob that controls
-    when reconfigurations may start (``cross_app_prefetch``,
-    ``stall_on_loaded_future``) or what the advisor is told
-    (``lookahead_apps``, ``provide_oracle``) cannot move the makespan —
-    only the S4 application barrier and the arrival times do, and the
-    barrier is unconditional.  The projection below is therefore empty
-    today; it exists so that a future semantics knob with zero-latency
-    effect gets added *here* (and invalidates cached ideals) instead of
-    silently sharing stale baselines.  The invariance claim is asserted by
-    ``tests/test_artifacts.py::test_zero_latency_ideal_semantics_invariant``.
-    """
-    relevant: dict = {}  # no current ManagerSemantics field qualifies
-    return _digest(["ideal-semantics-v1", relevant])
-
-
 def device_fingerprint(device: Optional[DeviceModel]) -> Optional[dict]:
     """Canonical device identity for artifact keys, or ``None``.
 
@@ -111,37 +72,6 @@ def device_fingerprint(device: Optional[DeviceModel]) -> Optional[dict]:
     if device is None or device.is_paper_path():
         return None
     return device.fingerprint()
-
-
-def ideal_key(
-    content_key: str,
-    n_rus: int,
-    arrival_times: Optional[Sequence[int]] = None,
-    semantics: ManagerSemantics = ManagerSemantics(),
-    device: Optional[DeviceModel] = None,
-) -> str:
-    """Composite key for one zero-latency ideal makespan entry.
-
-    The ideal reconfigures for free, so of the device model only a
-    genuinely heterogeneous *floorplan* (mixed slot capacities, which
-    constrain placement even at zero latency) can shape it.  The latency
-    model is deliberately excluded — one entry serves every latency on
-    the same floorplan — and so is the controller count: parallel
-    controllers only parallelise loads that already take zero time.
-    Uniform-capacity slots are excluded too: a configuration either fits
-    every slot or none (the latter fails at construction), so they never
-    constrain a feasible schedule.
-    """
-    payload = [
-        "ideal",
-        content_key,
-        int(n_rus),
-        arrival_fingerprint(arrival_times),
-        ideal_semantics_fingerprint(semantics),
-    ]
-    if device is not None and len({s.capacity_kb for s in device.slots}) > 1:
-        payload.append({"slots": [[s.kind, s.capacity_kb] for s in device.slots]})
-    return _digest(payload)
 
 
 def compiled_key(content_key: str) -> str:

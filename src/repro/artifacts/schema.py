@@ -4,7 +4,7 @@ Every entry is one JSON object::
 
     {
       "schema": 1,
-      "kind": "mobility" | "ideal",
+      "kind": "mobility" | "compiled" | ...,
       "key": "<sha256 the entry is stored under>",
       "meta": {...},         # human-readable provenance, never read back
       "payload": {...}       # the artifact itself
@@ -306,18 +306,3 @@ def decode_heartbeat(key: str, entry: Any) -> Dict:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactDecodeError(f"malformed heartbeat payload: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Zero-latency ideal makespans: one integer
-# ----------------------------------------------------------------------
-def encode_ideal(key: str, makespan_us: int, meta: Optional[Mapping] = None) -> Dict:
-    return _envelope("ideal", key, {"makespan_us": int(makespan_us)}, meta)
-
-
-def decode_ideal(key: str, entry: Any) -> int:
-    payload = _open_envelope("ideal", key, entry)
-    try:
-        return int(payload["makespan_us"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactDecodeError(f"malformed ideal payload: {exc}") from exc

@@ -4,7 +4,8 @@ Directory layout (versioned so a schema bump never reads stale bytes)::
 
     <root>/v1/
         mobility/<key[:2]>/<key>.json
-        ideal/<key[:2]>/<key>.json
+        compiled/<key[:2]>/<key>.json
+        ...                      # one directory per kind in KINDS
 
 Writes go through a unique temp file in the destination directory
 followed by :func:`os.replace`, which is atomic on POSIX and Windows —
@@ -41,7 +42,6 @@ from repro.exceptions import ReproError
 #: liveness beacons (see :mod:`repro.backends.worker`).
 KINDS = (
     "mobility",
-    "ideal",
     "compiled",
     "sweep",
     "task",

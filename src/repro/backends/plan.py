@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.artifacts.keys import arrival_fingerprint, ideal_semantics_fingerprint
 from repro.backends.base import SweepCell
 from repro.exceptions import ExperimentError
+from repro.sim.simulator import ideal_floorplan
 
 #: Node kinds, in the conceptual pipeline order.
 NODE_KINDS = ("compile", "mobility", "ideal", "cell", "reduce")
@@ -129,15 +129,6 @@ class ExperimentPlan:
         return f"<{self.describe()}>"
 
 
-def _ideal_device_key(cell: SweepCell) -> Optional[str]:
-    """Reduced device identity for ideal nodes (mirrors ``ideal_key``:
-    only a mixed-capacity floorplan shapes a zero-latency schedule)."""
-    device = cell.device
-    if device is None or len({s.capacity_kb for s in device.slots}) <= 1:
-        return None
-    return repr([[s.kind, s.capacity_kb] for s in device.slots])
-
-
 def _mobility_device_key(cell: SweepCell) -> Optional[str]:
     device = cell.device
     if device is None:
@@ -145,19 +136,17 @@ def _mobility_device_key(cell: SweepCell) -> Optional[str]:
     return repr(sorted(device.fingerprint().items()))
 
 
-def build_plan(
-    cells: Sequence[SweepCell],
-    arrival_times: Optional[Sequence[int]] = None,
-) -> ExperimentPlan:
+def build_plan(cells: Sequence[SweepCell]) -> ExperimentPlan:
     """The task DAG for one batch of cells.
 
     * one ``compile`` root (the workload compiles exactly once);
     * one ``mobility`` node per distinct ``(n_rus, reconfig_latency,
       device)`` among the *skip-enabled* cells (ASAP cells need none);
-    * one ``ideal`` node per distinct ``(n_rus, arrivals, semantics
-      projection, floorplan)`` — the coordinates the artifact cache keys
-      on, so plan-level dedup and cache-level dedup agree by
-      construction;
+    * one ``ideal`` node per distinct ``(n_rus, floorplan)`` — the
+      coordinates the artifact cache's ideals depend on (the floorplan
+      is :func:`~repro.sim.simulator.ideal_floorplan`: ``None`` unless
+      slot capacities differ), so plan-level dedup and cache-level dedup
+      agree by construction;
     * one ``cell`` node per cell, depending on ``compile`` plus its
       artifact nodes;
     * one ``reduce`` sink depending on every cell.
@@ -167,7 +156,6 @@ def build_plan(
     nodes: List[PlanNode] = [PlanNode(key=COMPILE_NODE, kind="compile")]
     mobility_nodes: Dict[Tuple, str] = {}
     ideal_nodes: Dict[Tuple, str] = {}
-    arrival_fp = arrival_fingerprint(arrival_times)
     for cell in cells:
         if cell.spec.skip_events:
             coords = (cell.n_rus, cell.reconfig_latency, _mobility_device_key(cell))
@@ -179,8 +167,7 @@ def build_plan(
                         key=key, kind="mobility", deps=(COMPILE_NODE,), params=coords
                     )
                 )
-        sem_fp = ideal_semantics_fingerprint(cell.spec.make_semantics())
-        coords = (cell.n_rus, arrival_fp, sem_fp, _ideal_device_key(cell))
+        coords = (cell.n_rus, ideal_floorplan(cell.device))
         if coords not in ideal_nodes:
             key = f"ideal:{len(ideal_nodes)}"
             ideal_nodes[coords] = key
@@ -196,8 +183,7 @@ def build_plan(
                     (cell.n_rus, cell.reconfig_latency, _mobility_device_key(cell))
                 ]
             )
-        sem_fp = ideal_semantics_fingerprint(cell.spec.make_semantics())
-        deps.append(ideal_nodes[(cell.n_rus, arrival_fp, sem_fp, _ideal_device_key(cell))])
+        deps.append(ideal_nodes[(cell.n_rus, ideal_floorplan(cell.device))])
         key = f"cell:{i}"
         cell_keys.append(key)
         nodes.append(PlanNode(key=key, kind="cell", deps=tuple(deps), index=i))

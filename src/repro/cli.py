@@ -19,7 +19,7 @@ the paper's values alongside for comparison.  ``--trace-mode aggregate``
 streams runs through the O(1) aggregate sink (same numbers, flat memory);
 ``--trace-out`` writes the full event log as JSONL for offline analysis.
 
-Design-time artifacts (mobility tables, zero-latency ideals) can persist
+Design-time artifacts (mobility tables, compiled workloads) can persist
 across invocations through the on-disk store::
 
     repro cache warm --scenario paper-eval --rus 4 5 6     # pay once
@@ -61,6 +61,7 @@ from typing import List, Optional
 
 from repro.core.policies.registry import available_policies
 from repro.core.policy_spec import named_policy_spec
+from repro.exceptions import ReproError
 from repro.hw import (
     available_device_presets,
     make_device,
@@ -160,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "persistent design-time artifact store directory; attaches a "
-            "disk tier to the session cache so mobility tables and ideal "
-            "makespans survive the process (default for 'cache': "
+            "disk tier to the session cache so mobility tables and compiled "
+            "workloads survive the process (default for 'cache': "
             "$REPRO_CACHE_DIR or ~/.cache/repro/artifacts)"
         ),
     )
@@ -610,7 +611,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     print(
         f"(design-time cache: {mob.computations} mobility computations, "
         f"{ideal.computations} ideal makespans; "
-        f"disk tier hits: {mob.disk_hits + ideal.disk_hits}; jobs={args.jobs})"
+        f"disk tier hits: {mob.disk_hits}; jobs={args.jobs})"
     )
     if args.export_csv:
         from repro.experiments.export import save_text, sweep_to_csv
@@ -652,12 +653,12 @@ def _run_cache(args: argparse.Namespace) -> int:
     session = Session(workload=_workload(args), store=store)
     session.cache.warm(session.workload, tuple(args.rus))
     cache = session.cache
-    mob, ideal, comp = cache.mobility_stats, cache.ideal_stats, cache.compiled_stats
+    mob, comp = cache.mobility_stats, cache.compiled_stats
     print(
         f"warmed {session.workload.name!r} at RUs {tuple(args.rus)}: "
-        f"{mob.computations} mobility computations, {ideal.computations} ideal "
-        f"makespans, {comp.computations} workload compilations; "
-        f"{mob.disk_hits + ideal.disk_hits + comp.disk_hits} already on disk "
+        f"{mob.computations} mobility computations, "
+        f"{comp.computations} workload compilations; "
+        f"{mob.disk_hits + comp.disk_hits} already on disk "
         f"({store.root})"
     )
     return 0
@@ -880,6 +881,11 @@ def _run_jobs(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(build_parser().parse_args(argv))
+    except ReproError as exc:
+        # Bad values (``--length -5``) surface deep in the library; report
+        # them like argparse reports bad syntax, not as a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe closed early (e.g. `repro run --trace-out - |
         # head`): the Unix convention is silent success.  Point stdout

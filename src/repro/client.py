@@ -327,6 +327,10 @@ class AsyncReproClient:
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        #: One connection carries one exchange at a time: overlapping
+        #: calls would interleave requests and read each other's replies.
+        #: Created on first use, inside the loop that runs the requests.
+        self._lock: Optional[asyncio.Lock] = None
 
     async def connect(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
@@ -351,6 +355,14 @@ class AsyncReproClient:
 
     async def _request(
         self, method: str, path: str, payload: Optional[dict] = None
+    ) -> Tuple[int, object]:
+        if self._lock is None:
+            self._lock = asyncio.Lock()
+        async with self._lock:
+            return await self._exchange(method, path, payload)
+
+    async def _exchange(
+        self, method: str, path: str, payload: Optional[dict]
     ) -> Tuple[int, object]:
         body = b""
         if payload is not None:

@@ -15,7 +15,8 @@ zero-latency ideal makespan — **once** per ``(workload, n_rus)`` in a
 content-keyed two-tier :class:`ArtifactCache` shared by every cell.
 Attach a persistent :class:`~repro.artifacts.store.ArtifactStore`
 (``Session(store=...)``) and "once" holds across processes: warm runs
-serve every artifact from disk and skip the design-time phase entirely.
+load the compiled workload and mobility tables from disk (the ideal costs
+about as much to recompute as to load).
 
 ``Session.sweep(specs, ru_counts, parallel=N)`` plans the experiment as
 an explicit task DAG (:meth:`Session.plan`, design-time nodes
@@ -49,20 +50,15 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.artifacts.keys import (
-    arrival_fingerprint,
     compiled_key,
     graphs_content_key,
-    ideal_key,
-    ideal_semantics_fingerprint,
     mobility_key,
     workload_content_key,  # noqa: F401  (re-exported; was defined here)
 )
 from repro.artifacts.schema import (
     decode_compiled,
-    decode_ideal,
     decode_mobility_tables,
     encode_compiled,
-    encode_ideal,
     encode_mobility_tables,
 )
 from repro.artifacts.store import ArtifactStore
@@ -88,7 +84,13 @@ from repro.graphs.task_graph import TaskGraph
 from repro.metrics.summary import PolicyRunRecord, SweepResult
 from repro.sim.manager import MobilityTables
 from repro.sim.semantics import ManagerSemantics
-from repro.sim.simulator import SimulationResult, ideal_makespan, run_simulation
+from repro.sim.simulator import (
+    SimulationResult,
+    folded_ideal,
+    ideal_floorplan,
+    ideal_makespan,
+    run_simulation,
+)
 from repro.sim.tracing import TraceMode, TraceSink
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.sequence import Workload
@@ -129,12 +131,12 @@ class ArtifactCache:
 
     Stores:
 
-    * the **zero-latency ideal makespan** per ``(workload content, n_rus,
-      arrival pattern)`` — latency-independent (the ideal run reconfigures
-      for free, so one entry serves every latency), but *arrival*-dependent:
-      a staggered workload's baseline includes the arrival idle time, and
-      sharing the saturated baseline would book that wait as
-      reconfiguration overhead;
+    * the **zero-latency ideal makespan** of each *graph* per ``(graph
+      content, n_rus)``, in memory only (one costs about a store load) —
+      a workload's ideal folds them over its sequence and arrivals
+      (:func:`~repro.sim.simulator.folded_ideal`), so every latency,
+      arrival pattern and workload over the catalog shares them.
+      Mixed-capacity floorplans memoize whole-workload ideals instead;
     * the **mobility tables** per ``(graph catalog content, n_rus,
       reconfig_latency)`` (paper Fig. 6/7 — latency-dependent because
       delayed schedules shift by it).  On disk the tables key on the
@@ -176,20 +178,6 @@ class ArtifactCache:
         import json
 
         return json.dumps(fp, sort_keys=True)
-
-    @staticmethod
-    def _ideal_device_memory_key(device: Optional[DeviceModel]) -> Optional[str]:
-        """Reduced device identity for ideal-makespan entries.
-
-        Mirrors :func:`~repro.artifacts.keys.ideal_key`: only a
-        mixed-capacity floorplan constrains a zero-latency schedule, so
-        everything else collapses to the legacy (``None``) identity.
-        """
-        if device is None or len({s.capacity_kb for s in device.slots}) <= 1:
-            return None
-        import json
-
-        return json.dumps([[s.kind, s.capacity_kb] for s in device.slots])
 
     def _store_put(self, kind: str, key: str, entry) -> None:
         """Publish best-effort: the value is already computed, so a disk
@@ -314,58 +302,47 @@ class ArtifactCache:
                 f"ideal_makespan_us: n_rus={n_rus} contradicts the device "
                 f"model's {device.n_rus} RUs"
             )
-        # The memory key mirrors ideal_key's reduced device identity: only
-        # a genuinely mixed-capacity floorplan can shape a zero-latency
-        # makespan, so devices differing in latency model or controller
-        # count share one entry (and one computation).
-        device_key = self._ideal_device_memory_key(device)
-        key = (
-            content_key,
-            n_rus,
-            arrival_fingerprint(arrival_times),
-            ideal_semantics_fingerprint(semantics),
-            device_key,
-        )
-        if key in self._ideal:
-            self.ideal_stats.hits += 1
-            return self._ideal[key]
-        self.ideal_stats.misses += 1
-        disk_key = ideal_key(content_key, n_rus, arrival_times, semantics, device=device)
-        if self.store is not None:
-            stored = self.store.load("ideal", disk_key, decode_ideal)
-            if stored is not None:
-                self.ideal_stats.disk_hits += 1
-                self._ideal[key] = stored
-                return stored
         if compiled is None:
             compiled = self.compiled_workload(content_key, apps)
-        if device_key is None:
-            value = ideal_makespan(
-                apps,
-                n_rus,
-                arrival_times=arrival_times,
-                semantics=semantics,
-                compiled=compiled,
+        floorplan = ideal_floorplan(device)
+        if floorplan is not None:
+            # No closed form on mixed capacities: memoize the whole run.
+            saturated = arrival_times is None or not any(arrival_times)
+            key = (content_key, floorplan, None if saturated else tuple(arrival_times))
+            return self._ideal_lookup(
+                key,
+                lambda: ideal_makespan(
+                    apps,
+                    arrival_times=arrival_times,
+                    semantics=semantics,
+                    device=device,
+                    compiled=compiled,
+                ),
             )
+
+        # TaskGraph hashes and compares by content, so it is its own key.
+        def per_graph(graph: TaskGraph, solo: CompiledWorkload) -> int:
+            return self._ideal_lookup(
+                (graph, n_rus),
+                lambda: ideal_makespan([graph], n_rus, compiled=solo),
+            )
+
+        return folded_ideal(
+            apps,
+            DeviceModel.homogeneous(n_rus, 0),
+            arrival_times,
+            semantics,
+            compiled,
+            per_graph,
+        )
+
+    def _ideal_lookup(self, key: Tuple, compute) -> int:
+        if key in self._ideal:
+            self.ideal_stats.hits += 1
         else:
-            value = ideal_makespan(
-                apps,
-                arrival_times=arrival_times,
-                semantics=semantics,
-                device=device,
-                compiled=compiled,
-            )
-        self._ideal[key] = value
-        if self.store is not None:
-            meta = {
-                "n_rus": n_rus,
-                "arrivals": arrival_fingerprint(arrival_times),
-                "content_key": content_key,
-            }
-            if device_key is not None:
-                meta["device"] = device.fingerprint()
-            self._store_put("ideal", disk_key, encode_ideal(disk_key, value, meta=meta))
-        return value
+            self.ideal_stats.misses += 1
+            self._ideal[key] = compute()
+        return self._ideal[key]
 
     def mobility_tables(
         self,
@@ -416,12 +393,13 @@ class ArtifactCache:
         ru_counts: Sequence[int],
         reconfig_latencies: Optional[Sequence[int]] = None,
     ) -> None:
-        """Precompute (or fault in) every artifact for a workload sweep.
+        """Precompute (or fault in) every persistent artifact for a
+        workload sweep.
 
-        Covers all three kinds: the compiled workload, the zero-latency
-        ideal per RU count, and the mobility tables per (RU count,
-        latency) — a warm store then serves every design-time artifact
-        *and* the workload compilation from disk.
+        Covers the compiled workload and the mobility tables per (RU
+        count, latency) — a warm store then serves both from disk.
+        Zero-latency ideals are memory-only and cost about a store load
+        to recompute, so there is nothing to warm.
         """
         content = workload_content_key(workload)
         self.compiled_workload(content, list(workload.apps))
@@ -431,7 +409,6 @@ class ArtifactCache:
             else (workload.reconfig_latency,)
         )
         for n_rus in ru_counts:
-            self.ideal_makespan_us(content, list(workload.apps), n_rus)
             for latency in latencies:
                 self.mobility_tables(
                     content, workload.distinct_graphs(), n_rus, latency
@@ -772,14 +749,9 @@ class Session:
         semantics: ManagerSemantics = ManagerSemantics(),
         device: Optional[DeviceModel] = None,
     ) -> int:
-        """Cached zero-latency ideal for this workload at ``n_rus``.
-
-        The ideal honours the same arrival times (and manager semantics)
-        as the measured run, and is cached per arrival pattern — idle
-        waiting for a late application is not reconfiguration overhead.
-        Heterogeneous devices key (and compute) their own baselines: slot
-        compatibility shapes even a zero-latency schedule.
-        """
+        """Zero-latency ideal for this workload at ``n_rus``, honouring
+        the measured run's arrival times (idle waiting for a late
+        application is not reconfiguration overhead)."""
         return self.cache.ideal_makespan_us(
             self._content_key,
             self._apps,

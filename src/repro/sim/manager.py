@@ -282,25 +282,7 @@ class ExecutionManager:
                     "scalar pair, not both"
                 )
             device = as_device_model(device)
-        if not graphs:
-            raise SimulationError("application sequence is empty")
-        if arrival_times is not None and len(arrival_times) != len(graphs):
-            raise SimulationError(
-                "arrival_times must match the number of applications"
-            )
-        if compiled is None:
-            compiled = CompiledWorkload.compile(graphs)
-        elif not compiled.matches(graphs):
-            raise SimulationError(
-                "compiled workload does not describe this application "
-                "sequence (length or graph names differ)"
-            )
-        if compiled.max_concurrency > device.n_rus:
-            raise SimulationError(
-                f"an application needs {compiled.max_concurrency} concurrent "
-                f"RUs but the device has only {device.n_rus}; the barrier "
-                "model cannot schedule it"
-            )
+        compiled = self.checked_workload(graphs, arrival_times, device, compiled)
 
         self.semantics = semantics
         self.device = device
@@ -315,8 +297,6 @@ class ExecutionManager:
         # per-load bitstream lookup nor slot-compatibility filtering runs.
         self._fixed_latency = device.fixed_latency_us
         self._uniform_slots = device.has_uniform_slots
-        if not self._uniform_slots:
-            self._check_slot_coverage(compiled, device)
         #: Per-dense-config load cost, only materialised when it varies.
         self._cost_by_cid: Optional[Tuple[int, ...]] = (
             None if self._fixed_latency is not None else compiled.load_costs(device)
@@ -443,15 +423,40 @@ class ExecutionManager:
         ]
 
     @staticmethod
-    def _check_slot_coverage(
-        compiled: CompiledWorkload, device: DeviceModel
-    ) -> None:
-        """Every configuration must fit at least one slot of the floorplan.
+    def checked_workload(
+        graphs: Sequence[TaskGraph],
+        arrival_times: Optional[Sequence[int]],
+        device: DeviceModel,
+        compiled: Optional[CompiledWorkload] = None,
+    ) -> CompiledWorkload:
+        """Validate a run's inputs and return its compiled workload.
 
-        A configuration too large for every slot can never load, which
-        would surface much later as an opaque dispatch deadlock; fail at
-        construction with the offending task instead.
+        A configuration too large for every slot could never load, which
+        would surface much later as an opaque dispatch deadlock, so it
+        fails here with the offending task.  The zero-latency ideal runs
+        the same checks, so its errors match a simulated run's.
         """
+        if not graphs:
+            raise SimulationError("application sequence is empty")
+        if arrival_times is not None and len(arrival_times) != len(graphs):
+            raise SimulationError(
+                "arrival_times must match the number of applications"
+            )
+        if compiled is None:
+            compiled = CompiledWorkload.compile(graphs)
+        elif not compiled.matches(graphs):
+            raise SimulationError(
+                "compiled workload does not describe this application "
+                "sequence (length or graph names differ)"
+            )
+        if compiled.max_concurrency > device.n_rus:
+            raise SimulationError(
+                f"an application needs {compiled.max_concurrency} concurrent "
+                f"RUs but the device has only {device.n_rus}; the barrier "
+                "model cannot schedule it"
+            )
+        if device.has_uniform_slots:
+            return compiled
         for capp in compiled.graphs:
             for nid, kb in zip(capp.rec_order, capp.rec_bitstreams):
                 if not device.compatible_slot_indices(kb):
@@ -460,6 +465,7 @@ class ExecutionManager:
                         f"{kb} KiB slot but no slot of device "
                         f"{device.label!r} can hold it"
                     )
+        return compiled
 
     # ------------------------------------------------------------------
     # Public API

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.graphs.task_graph import TaskGraph
@@ -265,24 +265,17 @@ def ideal_makespan(
 ) -> int:
     """Makespan of the zero-reconfiguration-latency run on the same device.
 
-    Computed by simulation with latency 0 so the result honours the exact
-    same barrier, arrival and resource semantics as the measured run.
-    With a full ``device=`` model the baseline runs on
+    The baseline honours the measured run's barrier, arrival and resource
+    semantics.  With a full ``device=`` model it runs on
     :meth:`~repro.hw.model.DeviceModel.zero_latency` — same floorplan
     (slot compatibility still constrains placement) and same controller
     pool, free loads — so heterogeneous-device overheads are measured
-    like-for-like too.
-    ``arrival_times`` must match the measured run's: an application cannot
-    start before it arrives even when loads are free, and an ideal that
-    ignores arrivals books that idle wait as reconfiguration overhead —
-    inflating ``overhead_us`` for every staggered-arrival workload.
-    ``semantics`` is threaded through for the same like-for-like reason
-    (at zero latency no current knob moves the makespan, but the baseline
-    must not silently assume that).  For saturated arrivals on devices
+    like-for-like too.  ``arrival_times`` must match the measured run's:
+    an application cannot start before it arrives, and an ideal that
+    ignores arrivals books that idle wait as reconfiguration overhead.
+    Computed by :func:`folded_ideal`.  For saturated arrivals on devices
     with at least as many RUs as the widest application this equals the
     sum of the applications' critical paths (asserted by the test suite).
-    The run streams through the aggregate sink — only the makespan is
-    needed, so no record lists are materialised.
     """
     if device is not None:
         ideal_device = device.zero_latency()
@@ -296,6 +289,36 @@ def ideal_makespan(
                 "describe the hardware with device= or n_rus="
             )
         ideal_device = DeviceModel.homogeneous(n_rus, 0)
+    return folded_ideal(
+        graphs,
+        ideal_device,
+        arrival_times,
+        semantics,
+        compiled,
+        lambda graph, solo: _zero_latency_run([graph], ideal_device, compiled=solo),
+    )
+
+
+def ideal_floorplan(device: Optional[DeviceModel]) -> Optional[Tuple]:
+    """The part of a device that can shape a zero-latency schedule:
+    ``None`` unless slot capacities differ, else the hashable
+    ``(kind, capacity_kb)`` slots.  Loads are free, so neither latency
+    model nor controller count matters, and a uniform capacity fits a
+    configuration everywhere or nowhere (which fails validation)."""
+    if device is None or len({s.capacity_kb for s in device.slots}) <= 1:
+        return None
+    return tuple((s.kind, s.capacity_kb) for s in device.slots)
+
+
+def _zero_latency_run(
+    graphs: Sequence[TaskGraph],
+    ideal_device: DeviceModel,
+    semantics: ManagerSemantics = ManagerSemantics(),
+    arrival_times: Optional[Sequence[int]] = None,
+    compiled: Optional[CompiledWorkload] = None,
+) -> int:
+    """Simulated makespan on a free-loading device; only the makespan is
+    needed, so the run streams through the aggregate sink."""
     manager = ExecutionManager(
         graphs=graphs,
         advisor=_FirstCandidateAdvisor(),
@@ -306,6 +329,66 @@ def ideal_makespan(
         compiled=compiled,
     )
     return manager.run().makespan
+
+
+_warned_mixed_capacity = False
+
+
+def folded_ideal(
+    graphs: Sequence[TaskGraph],
+    ideal_device: DeviceModel,
+    arrival_times: Optional[Sequence[int]],
+    semantics: ManagerSemantics,
+    compiled: Optional[CompiledWorkload],
+    per_graph: Callable[[TaskGraph, CompiledWorkload], int],
+) -> int:
+    """The zero-latency ideal of a sequence, from per-graph ideals.
+
+    Under the S4 barrier application *k+1* executes only after
+    application *k* has finished, and at zero latency every load is free,
+    so nothing earlier applications left loaded speeds it up or delays
+    it: it takes its stand-alone ideal ``per_graph(graph, compiled)``
+    (``compiled`` is ``[graph]`` compiled), and
+    ``end = max(arrival_k, end) + ideal(graph_k)`` folded over the
+    sequence is exact.  No :class:`ManagerSemantics` knob
+    can move a stand-alone run — they govern how *later* applications
+    are prefetched or shown to the advisor.  ``ideal_device`` must
+    already load for free.
+
+    On mixed-capacity floorplans the fold is not exact: first-candidate
+    placement depends on which slots earlier applications left occupied.
+    Those simulate the whole workload instead, with a one-time
+    :class:`RuntimeWarning`.  Invalid inputs raise the same
+    :class:`SimulationError` a simulated run would.
+    """
+    compiled = ExecutionManager.checked_workload(
+        graphs, arrival_times, ideal_device, compiled
+    )
+    if ideal_floorplan(ideal_device) is not None:
+        global _warned_mixed_capacity
+        if not _warned_mixed_capacity:
+            _warned_mixed_capacity = True
+            warnings.warn(
+                "zero-latency ideal: no closed form on mixed-capacity "
+                "floorplans, simulating the whole workload (first such "
+                f"device: {ideal_device.label!r})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return _zero_latency_run(
+            graphs, ideal_device, semantics, arrival_times, compiled
+        )
+    app_graph = compiled.app_graph
+    ideals = [
+        per_graph(graphs[app_graph.index(gi)], compiled.solo(gi))
+        for gi in range(len(compiled.graphs))
+    ]
+    if arrival_times is None or not any(arrival_times):
+        return sum(map(ideals.__getitem__, app_graph))
+    end = 0
+    for gi, arrival in zip(app_graph, arrival_times):
+        end = max(end, arrival) + ideals[gi]
+    return end
 
 
 def sum_of_critical_paths(graphs: Sequence[TaskGraph]) -> int:

@@ -185,6 +185,23 @@ class CompiledWorkload:
     def app(self, index: int) -> CompiledApp:
         return self.graphs[self.app_graph[index]]
 
+    def solo(self, gi: int) -> "CompiledWorkload":
+        """Distinct graph ``gi`` alone, as a one-application workload
+        sharing this one's compiled graph and configuration table."""
+        capp = self.graphs[gi]
+        return CompiledWorkload(
+            graphs=(capp,),
+            app_graph=(0,),
+            config_ids=self.config_ids,
+            config_index=self.config_index,
+            config_bitstreams=self.config_bitstreams,
+            flat_configs=capp.rec_configs,
+            flat_cids=capp.rec_cids,
+            app_offsets=(0, capp.n_tasks),
+            max_concurrency=capp.max_concurrency,
+            n_tasks=capp.n_tasks,
+        )
+
     def matches(self, graphs: Sequence[TaskGraph]) -> bool:
         """Consistency check against an application sequence.
 

@@ -12,21 +12,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.artifacts.store import KINDS
+from repro.artifacts.store import KINDS, ArtifactStoreError
 from repro.artifacts import (
     ArtifactStore,
-    arrival_fingerprint,
     default_store_root,
     graphs_content_key,
-    ideal_key,
     mobility_key,
     workload_content_key,
 )
 from repro.artifacts.schema import (
     ArtifactDecodeError,
-    decode_ideal,
     decode_mobility_tables,
-    encode_ideal,
     encode_mobility_tables,
 )
 from repro.core.mobility import MobilityCalculator
@@ -69,19 +65,6 @@ class TestKeys:
         suite = benchmark_suite()
         assert graphs_content_key(suite) == graphs_content_key(list(reversed(suite)))
 
-    def test_arrival_fingerprint_canonicalises_saturated(self):
-        assert arrival_fingerprint(None) == arrival_fingerprint([0, 0, 0])
-        assert arrival_fingerprint([0, 5, 9]) != arrival_fingerprint(None)
-        assert arrival_fingerprint([0, 5, 9]) != arrival_fingerprint([0, 5, 10])
-
-    def test_ideal_key_depends_on_arrivals(self, workload):
-        content = workload_content_key(workload)
-        saturated = ideal_key(content, 4)
-        staggered = ideal_key(content, 4, arrival_times=[100] * workload.n_apps)
-        assert saturated != staggered
-        # Same inputs -> same key, in any process.
-        assert saturated == ideal_key(content, 4, arrival_times=[0] * workload.n_apps)
-
     def test_mobility_key_depends_on_device(self, workload):
         content = graphs_content_key(workload.distinct_graphs())
         assert mobility_key(content, 4, 4000) != mobility_key(content, 5, 4000)
@@ -93,8 +76,8 @@ class TestKeys:
 
 
 def test_zero_latency_ideal_semantics_invariant(workload):
-    """The projection behind ``ideal_semantics_fingerprint``: no current
-    semantics knob moves the zero-latency makespan (only arrivals do)."""
+    """No semantics knob moves the zero-latency makespan (only arrivals
+    do) — why ideal cache keys and plan nodes leave semantics out."""
     apps = list(workload.apps)
     arrivals = periodic_arrivals(workload.n_apps, 30_000)
     variants = [
@@ -120,60 +103,63 @@ def test_zero_latency_ideal_semantics_invariant(workload):
 # Store mechanics
 # ----------------------------------------------------------------------
 class TestStoreMechanics:
-    def test_round_trip_ideal(self, store):
-        key = ideal_key("content", 4)
-        store.put("ideal", key, encode_ideal(key, 123_456))
-        assert store.load("ideal", key, decode_ideal) == 123_456
-        assert store.stats.hits == 1 and store.stats.writes == 1
-
     def test_round_trip_mobility(self, store):
         tables = {"JPEG": {1: 0, 2: 1}, "MPEG-1": {1: 0}}
         key = mobility_key("content", 4, 4000)
         store.put("mobility", key, encode_mobility_tables(key, tables))
         loaded = store.load("mobility", key, decode_mobility_tables)
         assert loaded == tables
+        assert store.stats.hits == 1 and store.stats.writes == 1
         # Node ids survive the JSON string round trip as ints.
         assert all(isinstance(n, int) for t in loaded.values() for n in t)
 
     def test_miss_returns_none(self, store):
-        assert store.load("ideal", ideal_key("nothing", 4), decode_ideal) is None
+        key = mobility_key("nothing", 4, 4000)
+        assert store.load("mobility", key, decode_mobility_tables) is None
         assert store.stats.misses == 1
 
     def test_corrupted_entry_is_miss_and_evicted(self, store):
-        key = ideal_key("content", 4)
-        path = store.put("ideal", key, encode_ideal(key, 99))
+        key = mobility_key("content", 4, 4000)
+        tables = {"G": {1: 0}}
+        path = store.put("mobility", key, encode_mobility_tables(key, tables))
         path.write_text("{ truncated", encoding="utf-8")
-        assert store.load("ideal", key, decode_ideal) is None
+        assert store.load("mobility", key, decode_mobility_tables) is None
         assert not path.exists()
         assert store.stats.corrupt_evicted == 1
         # The next write repairs the entry.
-        store.put("ideal", key, encode_ideal(key, 99))
-        assert store.load("ideal", key, decode_ideal) == 99
+        store.put("mobility", key, encode_mobility_tables(key, tables))
+        assert store.load("mobility", key, decode_mobility_tables) == tables
 
     def test_schema_mismatch_is_miss_and_evicted(self, store):
-        key = ideal_key("content", 4)
-        path = store.put("ideal", key, encode_ideal(key, 7))
+        key = mobility_key("content", 4, 4000)
+        path = store.put("mobility", key, encode_mobility_tables(key, {}))
         entry = json.loads(path.read_text())
         entry["schema"] = 999
         path.write_text(json.dumps(entry), encoding="utf-8")
-        assert store.load("ideal", key, decode_ideal) is None
+        assert store.load("mobility", key, decode_mobility_tables) is None
         assert not path.exists()
 
     def test_kind_and_key_mismatch_rejected(self):
-        key = ideal_key("content", 4)
+        key = mobility_key("content", 4, 4000)
+        foreign = {**encode_mobility_tables(key, {}), "kind": "compiled"}
         with pytest.raises(ArtifactDecodeError):
-            decode_ideal(key, encode_mobility_tables(key, {}))
+            decode_mobility_tables(key, foreign)
         with pytest.raises(ArtifactDecodeError):
-            decode_ideal("other-key", encode_ideal(key, 5))
+            decode_mobility_tables("other-key", encode_mobility_tables(key, {}))
+
+    def test_ideal_is_no_store_kind(self, store):
+        assert "ideal" not in KINDS
+        with pytest.raises(ArtifactStoreError, match="unknown artifact kind"):
+            store.put("ideal", "k", {})
 
     def test_clear_and_describe(self, store):
-        k1 = ideal_key("a", 4)
-        k2 = mobility_key("a", 4, 4000)
-        store.put("ideal", k1, encode_ideal(k1, 1))
+        k1 = mobility_key("a", 4, 4000)
+        k2 = mobility_key("a", 5, 4000)
+        store.put("mobility", k1, encode_mobility_tables(k1, {"G": {1: 0}}))
         store.put("mobility", k2, encode_mobility_tables(k2, {"G": {1: 0}}))
         info = store.describe()
         empty = {kind: 0 for kind in KINDS}
-        assert info["entries"] == {**empty, "mobility": 1, "ideal": 1}
+        assert info["entries"] == {**empty, "mobility": 2}
         assert info["total_entries"] == 2 and info["size_bytes"] > 0
         assert store.clear() == 2
         assert store.entry_counts() == empty
@@ -189,18 +175,20 @@ class TestTwoTierCache:
 
         cold = Session(workload=workload, store=ArtifactStore(root))
         cold_sweep = cold.sweep(specs, ru_counts=(4, 6))
+        n_graphs = len(workload.distinct_graphs())
         assert cold.cache.mobility_stats.computations == 2
-        assert cold.cache.ideal_stats.computations == 2
+        assert cold.cache.ideal_stats.computations == 2 * n_graphs
         assert cold.cache.mobility_stats.disk_hits == 0
 
         # Fresh session + fresh cache over the same directory: the
-        # new-process model.  Everything must come from disk.
+        # new-process model.  Mobility tables come from disk; per-graph
+        # ideals are memory-only and cheaper to recompute than to load.
         warm = Session(workload=workload, store=ArtifactStore(root))
         warm_sweep = warm.sweep(specs, ru_counts=(4, 6))
         assert warm.cache.mobility_stats.computations == 0
-        assert warm.cache.ideal_stats.computations == 0
         assert warm.cache.mobility_stats.disk_hits == 2
-        assert warm.cache.ideal_stats.disk_hits == 2
+        assert warm.cache.ideal_stats.computations == 2 * n_graphs
+        assert warm.cache.ideal_stats.disk_hits == 0
         assert cold_sweep.records == warm_sweep.records
 
     def test_store_accepts_path_like(self, workload, tmp_path):
@@ -212,19 +200,30 @@ class TestTwoTierCache:
         with pytest.raises(ExperimentError):
             Session(workload=workload, cache=ArtifactCache(), store=tmp_path)
 
-    def test_staggered_arrival_ideal_cached_separately(self, workload, tmp_path):
+    def test_staggered_and_saturated_share_per_graph_ideals(self, workload, tmp_path):
         session = Session(workload=workload, store=ArtifactStore(tmp_path / "s"))
         arrivals = periodic_arrivals(workload.n_apps, 200_000)
         spaced = session.run(local_lfd_spec(1), arrival_times=arrivals)
         saturated = session.run(local_lfd_spec(1))
         assert spaced.ideal_makespan_us > saturated.ideal_makespan_us
-        # Two distinct entries computed, both published to disk.
-        assert session.cache.ideal_stats.computations == 2
-        # A warm session serves the *staggered* baseline from disk too.
-        warm = Session(workload=workload, store=ArtifactStore(tmp_path / "s"))
-        again = warm.run(local_lfd_spec(1), arrival_times=arrivals)
-        assert again.ideal_makespan_us == spaced.ideal_makespan_us
-        assert warm.cache.ideal_stats.computations == 0
+        apps = list(workload.apps)
+        assert spaced.ideal_makespan_us == ideal_makespan(
+            apps, workload.n_rus, arrival_times=arrivals
+        )
+        assert saturated.ideal_makespan_us == ideal_makespan(apps, workload.n_rus)
+        # One computation per distinct graph serves both arrival patterns,
+        # and nothing ideal-shaped is written to disk.
+        assert session.cache.ideal_stats.computations == len(
+            workload.distinct_graphs()
+        )
+        assert not (session.cache.store.layout_dir / "ideal").exists()
+
+    def test_ideals_shared_across_sequences_of_same_catalog(self):
+        cache = ArtifactCache()
+        Session(workload=quick_workload(length=10), cache=cache).run(lru_spec())
+        first = cache.ideal_stats.computations
+        Session(workload=quick_workload(length=30), cache=cache).run(lru_spec())
+        assert cache.ideal_stats.computations == first
 
     def test_mobility_shared_across_sequences_of_same_catalog(self, tmp_path):
         """Disk mobility entries key on the graph catalog, not the sequence."""
@@ -258,7 +257,7 @@ class TestConcurrentWriters:
         assert len(set(results[:4])) == 1  # same key -> same value everywhere
         store = ArtifactStore(root)
         counts = store.entry_counts()
-        assert counts["ideal"] == 2 and counts["mobility"] == 2
+        assert counts["mobility"] == 2 and counts["compiled"] == 1
         for kind, path in store.entries():
             json.loads(path.read_text())  # every entry is complete JSON
 
@@ -362,16 +361,17 @@ class TestCacheCli:
         assert "1 mobility computations" in capsys.readouterr().out
         assert main(["cache", "stats", "--store", root]) == 0
         out = capsys.readouterr().out
-        assert "mobility: 1 entries" in out and "ideal: 1 entries" in out
-        # A sweep over the warmed store computes nothing.
+        assert "mobility: 1 entries" in out and "compiled: 1 entries" in out
+        # A sweep over the warmed store computes no mobility tables.
         assert main(
             ["sweep", "--panel", "fig9b", "--scenario", "quick", "--length", "10",
              "--rus", "4", "--store", root]
         ) == 0
-        assert "0 mobility computations, 0 ideal makespans" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 mobility computations" in out and "disk tier hits: 1" in out
         assert main(["cache", "clear", "--store", root]) == 0
-        # mobility + ideal + the compiled workload entry
-        assert "removed 3 entries" in capsys.readouterr().out
+        # mobility + the compiled workload entry
+        assert "removed 2 entries" in capsys.readouterr().out
 
     def test_unknown_action_fails(self, tmp_path, capsys):
         from repro.cli import main

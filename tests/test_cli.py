@@ -186,6 +186,23 @@ class TestTraceOutStdout:
         assert "streamed to stdout" in captured.err
 
 
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--length", "-5"], "length must be >= 1, got -5"),
+            (
+                ["run", "--scenario", "huge-stream", "--length", "0"],
+                "length must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_library_errors_exit_2_without_traceback(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {message}\n"
+
+
 class TestCacheJson:
     def test_cache_stats_json(self, capsys, tmp_path):
         import json as json_mod
@@ -194,7 +211,7 @@ class TestCacheJson:
         info = json_mod.loads(capsys.readouterr().out)
         assert info["root"] == str(tmp_path)
         assert info["total_entries"] == 0
-        assert set(info["entries"]) >= {"compiled", "ideal", "mobility"}
+        assert set(info["entries"]) >= {"compiled", "mobility"}
 
     def test_cache_stats_json_counts_entries(self, capsys, tmp_path):
         import json as json_mod

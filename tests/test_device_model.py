@@ -35,11 +35,11 @@ from repro.metrics.utilization import app_latency_stats, utilization
 from repro.session import Session
 from repro.sim.gantt import render_gantt, render_timeline_events
 from repro.sim.manager import ExecutionManager
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import ideal_floorplan, run_simulation
 from repro.sim.tracing import AggregateTrace
 from repro.sim.validation import validate_trace
 from repro.workloads.scenarios import make_scenario, scenario_info
-from repro.artifacts.keys import device_fingerprint, ideal_key, mobility_key
+from repro.artifacts.keys import device_fingerprint, mobility_key
 
 
 def _advisor():
@@ -388,7 +388,7 @@ class TestDeviceKeys:
         assert device_fingerprint(None) is None
         assert device_fingerprint(paper) is None
         assert mobility_key("c", 4, 4000) == mobility_key("c", 4, 4000, device=paper)
-        assert ideal_key("c", 4) == ideal_key("c", 4, device=paper)
+        assert ideal_floorplan(paper) is None
 
     def test_heterogeneous_devices_get_distinct_keys(self):
         hetero = make_device("big-little-4")
@@ -404,9 +404,12 @@ class TestDeviceKeys:
         sized = make_device("sized-4ru")  # uniform slots, proportional latency
         hetero = make_device("big-little-4")
         # Latency cannot shape a zero-latency ideal: uniform-slot
-        # single-controller devices share the legacy entry.
-        assert ideal_key("c", 4, device=sized) == ideal_key("c", 4)
-        assert ideal_key("c", 4, device=hetero) != ideal_key("c", 4)
+        # devices share the paper-path entries, a mixed-capacity
+        # floorplan keys its own.
+        assert ideal_floorplan(sized) is None
+        assert ideal_floorplan(hetero) == (
+            ("big", 768), ("big", 768), ("little", 256), ("little", 256)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +465,7 @@ class TestDeviceScenariosAndSession:
     def test_ideal_shared_across_latency_and_controller_variants(self):
         # Only a mixed-capacity floorplan can shape a zero-latency ideal:
         # devices differing in controllers or latency model share one
-        # cached computation (and one disk entry).
+        # cached computation per graph.
         session = Session(workload=make_scenario("quick", length=10))
         session.device_sweep(
             [lru_spec()],
@@ -472,7 +475,8 @@ class TestDeviceScenariosAndSession:
                 make_device("sized-4ru"),
             ],
         )
-        assert session.cache.ideal_stats.computations == 1
+        n_graphs = len(session.workload.distinct_graphs())
+        assert session.cache.ideal_stats.computations == n_graphs
 
     def test_ideal_cache_rejects_contradictory_n_rus(self):
         from repro.exceptions import ExperimentError

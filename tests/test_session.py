@@ -207,7 +207,9 @@ class TestArtifactCache:
     def test_ideal_computed_once_per_rus(self, workload):
         session = Session(workload=workload)
         session.sweep(fig9a_specs(), ru_counts=RU_SUBSET)
-        assert session.cache.ideal_stats.computations == len(RU_SUBSET)
+        # One zero-latency run per distinct graph and RU count.
+        n_graphs = len(workload.distinct_graphs())
+        assert session.cache.ideal_stats.computations == len(RU_SUBSET) * n_graphs
 
     def test_content_key_ignores_construction_path(self):
         w1 = quick_workload(length=15)
@@ -223,8 +225,9 @@ class TestArtifactCache:
         cache = ArtifactCache()
         Session(workload=workload, cache=cache).run(lru_spec())
         Session(workload=workload, cache=cache).run(lru_spec())
-        assert cache.ideal_stats.misses == 1
-        assert cache.ideal_stats.hits == 1
+        n_graphs = len(workload.distinct_graphs())
+        assert cache.ideal_stats.misses == n_graphs
+        assert cache.ideal_stats.hits == n_graphs
 
 
 class _RecordingHooks(SessionHooks):
@@ -286,8 +289,10 @@ class TestGrid:
     def test_grid_ideal_shared_across_latencies(self, workload):
         session = Session(workload=workload)
         session.grid([lru_spec()], ru_counts=(4,), reconfig_latencies=(1000, 4000))
-        # The zero-latency ideal is latency-independent: one computation.
-        assert session.cache.ideal_stats.computations == 1
+        # The zero-latency ideal is latency-independent: one computation
+        # per distinct graph.
+        n_graphs = len(workload.distinct_graphs())
+        assert session.cache.ideal_stats.computations == n_graphs
 
 
 class TestSimulateShim:
