@@ -15,9 +15,10 @@ and exposes the declarative :class:`~repro.session.Session` engine::
     repro run --policy lru --trace-out events.jsonl
 
 Every artifact command prints the same rows/series the paper reports, with
-the paper's values alongside for comparison.  ``--trace-mode aggregate``
-streams runs through the O(1) aggregate sink (same numbers, flat memory);
-``--trace-out`` writes the full event log as JSONL for offline analysis.
+the paper's values alongside for comparison.  Sweeps always stream their
+cells through the O(1) aggregate sink; for ``run``, ``--trace-mode
+aggregate`` does the same (same numbers, flat memory) and ``--trace-out``
+writes the full event log as JSONL for offline analysis.
 
 Design-time artifacts (mobility tables, compiled workloads) can persist
 across invocations through the on-disk store::
@@ -252,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "aggregate"),
         default="full",
         help=(
-            "what each simulation retains: 'full' record lists or "
-            "'aggregate' O(1) counters (identical numbers, flat memory — "
-            "use for very long workloads; default: full)"
+            "what the simulation retains ('run' command only): 'full' "
+            "record lists or 'aggregate' O(1) counters (identical numbers, "
+            "flat memory — use for very long workloads; default: full)"
         ),
     )
     parser.add_argument(
@@ -595,7 +596,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     session = Session(
         workload=_workload(args),
         hooks=(_ProgressHook(),),
-        trace=args.trace_mode,
         store=_store_from_args(args),
         backend=args.backend,
     )
@@ -975,7 +975,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             _workload(args),
             tuple(args.rus),
             parallel=args.jobs,
-            trace=args.trace_mode,
             store=_store_from_args(args),
             backend=args.backend,
             batch_size=args.batch_size,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.graphs.task_graph import TaskGraph

@@ -16,10 +16,12 @@ Local LFD(4)+Skip avg ≈8.9 %.
 
 The sweeps run through :class:`repro.session.Session`: design-time
 artifacts (mobility tables, zero-latency ideals) are cached once per
-``(workload, n_rus)`` and shared by every spec, and ``parallel=N`` fans
-the cells out over worker processes.  :class:`PolicySpec` and the
-spec-set constructors now live in :mod:`repro.core.policy_spec`; they are
-re-exported here for backwards compatibility.
+``(workload, n_rus)`` and shared by every spec, ``parallel=N`` fans the
+cells out over worker processes, and every cell streams into the O(1)
+aggregate trace sink (a cell keeps only its summary record).
+:class:`PolicySpec` and the spec-set constructors now live in
+:mod:`repro.core.policy_spec`; they are re-exported here for backwards
+compatibility.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ def run_policy_sweep(
     ru_counts: Sequence[int] = PAPER_RU_COUNTS,
     parallel: int = 1,
     hooks: Iterable[SessionHooks] = (),
-    trace: str = "full",
     store=None,
     device=None,
     backend=None,
@@ -65,11 +66,9 @@ def run_policy_sweep(
     session's content-keyed artifact cache; pass ``store`` (an
     :class:`~repro.artifacts.store.ArtifactStore` or a directory path) to
     add the persistent disk tier so repeated invocations — including fresh
-    processes — skip the design-time phase entirely.  ``trace="aggregate"``
-    streams each cell through the O(1) aggregate sink — identical records,
-    flat memory — which is what the CLI's ``--trace-mode`` selects for
-    long workloads.  ``backend`` selects the sweep execution backend
-    (``"inline"``, ``"process-pool"``, ``"work-stealing"`` or an
+    processes — skip the design-time phase entirely.  ``backend``
+    selects the sweep execution backend (``"inline"``,
+    ``"process-pool"``, ``"work-stealing"`` or an
     :class:`~repro.backends.base.ExecutorBackend` instance; see
     ``docs/backends.md``); ``batch_size`` sets how many cells each
     worker executes per submission (byte-identical records for any
@@ -81,7 +80,6 @@ def run_policy_sweep(
         device=device,
         workload=workload,
         hooks=hooks,
-        trace=trace,
         store=store,
         backend=backend,
     )
@@ -98,7 +96,6 @@ def run_fig9a(
     workload: Optional[Workload] = None,
     ru_counts=PAPER_RU_COUNTS,
     parallel: int = 1,
-    trace: str = "full",
     store=None,
     backend=None,
     batch_size: Optional[int] = None,
@@ -106,7 +103,7 @@ def run_fig9a(
     """Fig. 9a: reuse rates, ASAP loading (mobility 0 everywhere)."""
     return run_policy_sweep(
         fig9a_specs(), "Fig. 9a — reuse rate (%)", workload, ru_counts, parallel,
-        trace=trace, store=store, backend=backend, batch_size=batch_size,
+        store=store, backend=backend, batch_size=batch_size,
     )
 
 
@@ -114,7 +111,6 @@ def run_fig9b(
     workload: Optional[Workload] = None,
     ru_counts=PAPER_RU_COUNTS,
     parallel: int = 1,
-    trace: str = "full",
     store=None,
     backend=None,
     batch_size: Optional[int] = None,
@@ -126,7 +122,6 @@ def run_fig9b(
         workload,
         ru_counts,
         parallel,
-        trace=trace,
         store=store,
         backend=backend,
         batch_size=batch_size,
@@ -137,7 +132,6 @@ def run_fig9c(
     workload: Optional[Workload] = None,
     ru_counts=PAPER_RU_COUNTS,
     parallel: int = 1,
-    trace: str = "full",
     store=None,
     backend=None,
     batch_size: Optional[int] = None,
@@ -149,7 +143,6 @@ def run_fig9c(
         workload,
         ru_counts,
         parallel,
-        trace=trace,
         store=store,
         backend=backend,
         batch_size=batch_size,

@@ -607,9 +607,7 @@ class ReproServer:
                     "summary": result.summary(),
                 }
             else:
-                sweep = session.sweep(
-                    specs, ru_counts=job.spec.rus, trace="aggregate"
-                )
+                sweep = session.sweep(specs, ru_counts=job.spec.rus)
                 job.result = {
                     "kind": "sweep",
                     "ru_counts": list(job.spec.rus),

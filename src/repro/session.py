@@ -27,9 +27,9 @@ process-pool, or store-coordinated work-stealing across hosts
 ``Session.grid`` adds a reconfiguration-latency axis for cartesian
 studies.  Observers can
 subscribe to the run lifecycle through :class:`SessionHooks` — including
-attaching custom trace sinks per cell — and ``trace="aggregate"`` (or a
-JSONL path) switches the engine to the streaming trace subsystem
-(:mod:`repro.sim.tracing`) for memory-flat runs over huge workloads.
+attaching custom trace sinks per cell.  Batch cells always stream into
+the O(1) aggregate sink of :mod:`repro.sim.tracing`; for single runs,
+``trace="aggregate"`` (or a JSONL path) does the same.
 
 Example::
 
@@ -209,7 +209,7 @@ class ArtifactCache:
 
     # -- run-record memo (memory tier only) -----------------------------
     # The simulator is deterministic: a cell's summary record is a pure
-    # function of (workload content, spec, hardware, trace mode).  Warm
+    # function of (workload content, spec, hardware).  Warm
     # sessions therefore reuse finished records instead of re-simulating
     # identical cells — the second identical sweep on a session, or the
     # overlap between ablation studies sharing one cache, costs dict
@@ -512,12 +512,13 @@ class Session:
         not owned: the caller closes it).  Backends the session resolves
         from a name are owned and released by :meth:`close`.
     trace:
-        Default trace mode for every run of this session: ``"full"``
-        (classic record lists, the default), ``"aggregate"`` (O(1)
-        counters — use this for very long workloads), or a JSONL output
-        path (events streamed to disk, aggregate counters in memory; only
-        valid for single runs, not sweeps).  Individual ``run``/``sweep``
-        /``grid`` calls may override it.
+        Default trace mode for :meth:`run` only: ``"full"`` (classic
+        record lists, the default), ``"aggregate"`` (O(1) counters — use
+        this for very long workloads), or a JSONL output path (events
+        streamed to disk, aggregate counters in memory).  Batches
+        (``sweep``/``device_sweep``/``grid``) keep only summary records,
+        so they always run on the aggregate sink; a JSONL path is valid
+        for a single-cell batch only.
     batch_size:
         Default in-process batching granularity for every batch of this
         session (see :mod:`repro.backends.batch`): distributing backends
@@ -530,8 +531,8 @@ class Session:
     record_reuse:
         Reuse memoized cell records on warm sweeps (default ``True``).
         The simulator is deterministic, so a cell this session's cache
-        has already finished — same workload content, policy spec,
-        hardware and trace mode — is served from memory instead of
+        has already finished — same workload content, policy spec and
+        hardware — is served from memory instead of
         re-simulated; per-cell hooks still fire, and cells observed by
         hook trace sinks always re-execute (the sinks need the event
         stream).  Pass ``False`` to force every sweep to re-simulate,
@@ -703,9 +704,15 @@ class Session:
         )
 
     def _batch_trace(self, trace: Optional[TraceMode], n_cells: int) -> TraceMode:
-        """Resolve a batch's trace mode; JSONL paths are per-run only."""
+        """Resolve a batch's trace mode; JSONL paths are per-run only.
+
+        Cells keep only their summary record, which the aggregate sink
+        yields byte-identically, so ``"full"`` runs as ``"aggregate"``.
+        """
         mode = self.trace_mode if trace is None else trace
-        if mode not in ("full", "aggregate") and n_cells > 1:
+        if mode == "full":
+            return "aggregate"
+        if mode != "aggregate" and n_cells > 1:
             raise ExperimentError(
                 f"trace={mode!r}: a JSONL trace path is only supported for "
                 "single runs (a sweep would overwrite it once per cell); "
@@ -925,10 +932,10 @@ class Session:
         Design-time artifacts are computed once per ``n_rus`` in the parent
         process and shared by all cells (and shipped to workers when
         ``parallel > 1``).  Results are deterministic and identical for any
-        ``parallel`` value; only wall-clock changes.  ``trace`` overrides
-        the session trace mode for every cell — sweeps only retain the
-        flat :class:`PolicyRunRecord` per cell, so ``"aggregate"`` yields
-        identical records while never materialising record lists.
+        ``parallel`` value; only wall-clock changes.  Every cell streams
+        into the O(1) aggregate sink (a sweep keeps only its records), so
+        ``trace="full"`` is the same as ``"aggregate"``; a JSONL path is
+        accepted for a single cell only.
         ``batch_size`` overrides the session default chunking granularity
         (cells per worker submission; byte-identical records either way).
         """
@@ -1085,7 +1092,7 @@ class Session:
         """
         self.cache.forget_records()
 
-    def _record_key(self, cell: SweepCell, trace_mode: TraceMode) -> Tuple:
+    def _record_key(self, cell: SweepCell) -> Tuple:
         """Memo key for one cell's summary record.
 
         The record is a pure function of the workload content and the
@@ -1097,7 +1104,6 @@ class Session:
 
         return (
             self._content_key,
-            trace_mode,
             pickle.dumps(
                 (cell.spec, cell.n_rus, cell.reconfig_latency, cell.device),
                 protocol=4,
@@ -1117,11 +1123,11 @@ class Session:
         trace_mode = self._batch_trace(trace, len(cells))
         total = len(cells)
         # Warm-session record reuse: deterministic sim means a cell the
-        # cache already finished (same content/spec/hardware/trace) is
-        # served from memory.  JSONL trace paths are side-effecting
-        # (they write a file), so only the pure modes are memoizable;
-        # cells a hook wants to observe through trace sinks re-execute.
-        reusable = self.record_reuse and trace_mode in ("full", "aggregate")
+        # cache already finished (same content/spec/hardware) is served
+        # from memory.  A JSONL trace path is side-effecting (it writes a
+        # file), so only aggregate batches are memoizable; cells a hook
+        # wants to observe through trace sinks re-execute.
+        reusable = self.record_reuse and trace_mode == "aggregate"
         # trace_sinks is called exactly once per cell per sweep (hooks may
         # allocate a sink per call), and a sinked cell always re-executes.
         cell_sinks: List[Tuple[TraceSink, ...]] = [
@@ -1134,7 +1140,7 @@ class Session:
             if not reusable:
                 pending.append(i)
                 continue
-            keys[i] = self._record_key(cell, trace_mode)
+            keys[i] = self._record_key(cell)
             hit = self.cache.run_record(keys[i])
             if hit is not None and not cell_sinks[i]:
                 records[i] = hit

@@ -39,6 +39,7 @@ from repro.backends import (
 from repro.backends.base import CellBatch
 from repro.core.policy_spec import local_lfd_spec, lru_spec
 from repro.exceptions import ExperimentError
+from repro.hw import DeviceModel
 from repro.session import Session, SessionHooks
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.scenarios import quick_workload
@@ -213,10 +214,12 @@ class _CountingBackend(InlineBackend):
     def __init__(self):
         self.batches = 0
         self.cells_run = 0
+        self.modes = []
 
     def run_cells(self, batch):
         self.batches += 1
         self.cells_run += len(batch.cells)
+        self.modes.append(batch.trace_mode)
         return super().run_cells(batch)
 
 
@@ -229,6 +232,22 @@ def test_warm_sweep_served_from_record_memo(workload, serial_baseline):
     assert backend.cells_run == len(first.records)
     assert session.cache.record_stats.hits == len(first.records)
     assert _record_blobs(warm.records) == serial_baseline
+
+
+def test_batches_run_on_the_aggregate_sink(workload):
+    """``"full"`` — the session default or passed in — never reaches a
+    batch, and one memo entry per cell serves every trace mode."""
+    spy = _CountingBackend()
+    session = Session(workload=workload, trace="full", backend=spy)
+    first = session.sweep(SPECS, ru_counts=RU_SUBSET)
+    session.grid(SPECS, ru_counts=(4,), reconfig_latencies=(2000,), trace="full")
+    session.device_sweep(SPECS, [DeviceModel.homogeneous(5, 4000, n_controllers=2)])
+    assert spy.modes == ["aggregate"] * 3
+    cells_run, hits = spy.cells_run, session.cache.record_stats.hits
+    again = session.sweep(SPECS, ru_counts=RU_SUBSET, trace="aggregate")
+    assert spy.cells_run == cells_run and spy.batches == 3
+    assert session.cache.record_stats.hits == hits + len(first.records)
+    assert _record_blobs(again.records) == _record_blobs(first.records)
 
 
 def test_partial_overlap_only_runs_new_cells(workload):

@@ -11,6 +11,7 @@ being byte-identical to the same run's local
 import asyncio
 import json
 import http.client
+import threading
 import time
 
 import pytest
@@ -404,18 +405,15 @@ class TestClient:
     def test_wait_timeout_raises(self):
         with ServerThread(workers=1, quota_rate=0) as srv:
             with ReproClient(srv.host, srv.port) as c:
-                # One long sweep saturates the single worker; the second
-                # job stays queued past any sub-second deadline.
-                blocker = c.submit(
-                    {
-                        "kind": "sweep",
-                        "scenario": "paper-eval",
-                        "scenario_kwargs": {"length": 400},
-                        "rus": [4, 5, 6, 7],
-                    }
-                )
-                queued = c.submit(dict(SCENARIO))
-                with pytest.raises(ReproClientError, match="did not finish"):
-                    c.wait(queued, timeout=0.2)
-                c.cancel(blocker)
+                # A blocker holds the single worker until the test
+                # releases it, so the job stays queued past the deadline.
+                release = threading.Event()
+                blocker = srv.server._executor.submit(release.wait, 120)
+                try:
+                    queued = c.submit(dict(SCENARIO))
+                    with pytest.raises(ReproClientError, match="did not finish"):
+                        c.wait(queued, timeout=0.2)
+                finally:
+                    release.set()
+                assert blocker.result(timeout=120)
                 assert c.wait(queued, timeout=120)["state"] == "done"

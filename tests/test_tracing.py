@@ -13,6 +13,8 @@ import pytest
 
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.exceptions import ExperimentError, SimulationError
+from repro.hw import DeviceModel, make_device
+from repro.metrics.summary import PolicyRunRecord
 from repro.session import Session, SessionHooks
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import (
@@ -249,14 +251,88 @@ def test_sweep_rejects_jsonl_path(tmp_path, workload):
         session.sweep([lru_spec(), lfd_spec()], ru_counts=(4,))
 
 
+def _full_trace_record(session, spec, **hardware):
+    """Independent reference: one full-trace ``Session.run`` per cell."""
+    result = session.run(spec, trace="full", **hardware)
+    assert isinstance(result.trace, Trace)
+    return PolicyRunRecord.from_result(spec.label, result.trace.n_rus, result)
+
+
 def test_aggregate_sweep_matches_full_sweep_under_pool(workload):
-    """The acceptance leg: Session(trace='aggregate') with parallel=2."""
+    """Sweep cells run on the aggregate sink, inline and pooled; each
+    record equals the one a full-trace single run of the cell yields."""
     specs = [lru_spec(), local_lfd_spec(1, skip_events=True)]
-    full = Session(workload=workload).sweep(specs, ru_counts=(4, 6))
-    agg = Session(workload=workload, trace="aggregate").sweep(
-        specs, ru_counts=(4, 6), parallel=2
+    reference = Session(workload=workload)
+    expected = [
+        _full_trace_record(reference, spec, n_rus=rus)
+        for rus in (4, 6)
+        for spec in specs
+    ]
+    for parallel in (1, 2):
+        sweep = Session(workload=workload).sweep(
+            specs, ru_counts=(4, 6), parallel=parallel
+        )
+        assert [r.__dict__ for r in sweep.records] == [r.__dict__ for r in expected]
+
+
+def test_aggregate_device_sweep_matches_full_runs(workload):
+    """Same check over explicit hardware: two reconfiguration
+    controllers, and bitstream-size-proportional load latency."""
+    specs = [lru_spec(), local_lfd_spec(1, skip_events=True)]
+    devices = [
+        DeviceModel.homogeneous(4, 4000, n_controllers=2),
+        make_device("sized-4ru"),
+    ]
+    reference = Session(workload=workload)
+    expected = [
+        _full_trace_record(reference, spec, device=model)
+        for model in devices
+        for spec in specs
+    ]
+    for parallel in (1, 2):
+        cells = Session(workload=workload).device_sweep(
+            specs, devices, parallel=parallel
+        )
+        assert [c.record.__dict__ for c in cells] == [r.__dict__ for r in expected]
+
+
+class _EventLog(TraceSink):
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event_to_dict(event))
+
+
+def test_sweep_hook_sink_sees_the_full_trace_event_stream(workload):
+    """A hook sink on an (aggregate) sweep cell receives exactly the
+    events it would receive next to a full trace."""
+    spec = local_lfd_spec(1, skip_events=True)
+
+    class _LogHook(SessionHooks):
+        def trace_sinks(self, cell):
+            self.sink = _EventLog()
+            return (self.sink,)
+
+    hook = _LogHook()
+    session = Session(workload=workload, hooks=(hook,))
+    session.sweep([spec], ru_counts=(4,))
+    reference = _EventLog()
+    run_simulation(
+        workload.apps,
+        n_rus=4,
+        reconfig_latency=workload.reconfig_latency,
+        advisor=spec.make_advisor(),
+        semantics=spec.make_semantics(),
+        mobility_tables=session.mobility_tables(4),
+        ideal_makespan_us=session.ideal_makespan_us(
+            4, semantics=spec.make_semantics()
+        ),
+        trace="full",
+        extra_sinks=(reference,),
     )
-    assert [r.__dict__ for r in agg.records] == [r.__dict__ for r in full.records]
+    assert reference.events
+    assert hook.sink.events == reference.events
 
 
 def test_session_run_trace_override(workload):
