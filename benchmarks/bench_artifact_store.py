@@ -32,6 +32,7 @@ from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.session import ArtifactCache, Session
 from repro.workloads.scenarios import make_scenario
+from repro.hw.model import DeviceModel
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_artifact_store.json"
 
@@ -90,8 +91,14 @@ def test_warm_store_skips_design_time_phase():
     bisect_sims = {}
     linear_sims = {}
     for n_rus in RU_COUNTS:
-        fast = MobilityCalculator(n_rus, workload.reconfig_latency, search="bisect")
-        literal = MobilityCalculator(n_rus, workload.reconfig_latency, search="linear")
+        fast = MobilityCalculator(
+            search="bisect",
+            device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
+        )
+        literal = MobilityCalculator(
+            search="linear",
+            device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
+        )
         assert fast.compute_tables(graphs) == literal.compute_tables(graphs)
         bisect_sims[n_rus] = fast.simulations
         linear_sims[n_rus] = literal.simulations

@@ -48,7 +48,6 @@ import json
 import time
 from pathlib import Path
 
-from repro.core.device import Device
 from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.graphs.multimedia import benchmark_suite
@@ -56,6 +55,7 @@ from repro.session import Session
 from repro.sim.simulator import run_simulation
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.scenarios import make_scenario, paper_evaluation_workload
+from repro.hw.model import DeviceModel
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_engine_throughput.json"
 
@@ -114,13 +114,12 @@ def _engine_run(workload, spec, trace, compiled):
         t0 = time.perf_counter()
         result = run_simulation(
             workload.apps,
-            n_rus=workload.n_rus,
-            reconfig_latency=workload.reconfig_latency,
             advisor=spec.make_advisor(),
             semantics=spec.make_semantics(),
             ideal_makespan_us=0,  # this bench measures the engine, not metrics
             trace=trace,
             compiled=compiled,
+            device=workload.device,
         )
         wall = time.perf_counter() - t0
         assert result.trace.n_executions == workload.n_tasks
@@ -140,7 +139,7 @@ def test_engine_throughput_suite():
     # (best of REPEATS like every engine case; the first run also pays
     # the design-time phase, later ones hit the session cache).
     workload = paper_evaluation_workload(length=100)
-    session = Session(Device(4, workload.reconfig_latency), workload)
+    session = Session(DeviceModel.homogeneous(4, workload.reconfig_latency), workload)
     best = None
     events = 0
     for _ in range(REPEATS):
@@ -258,7 +257,7 @@ def test_engine_throughput_suite():
     # repeat so every run pays the real Fig. 6 search, best of REPEATS).
     best_mob = None
     for _ in range(REPEATS):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=4000)
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, 4000))
         t0 = time.perf_counter()
         tables = calc.compute_tables(benchmark_suite())
         wall = time.perf_counter() - t0

@@ -102,12 +102,11 @@ def test_controller_scaling_never_hurts_and_lands_in_json():
             scalar_spec = local_lfd_spec(1)
             scalar = run_simulation(
                 workload.apps,
-                n_rus=workload.n_rus,
-                reconfig_latency=latency,
                 advisor=scalar_spec.make_advisor(),
                 semantics=scalar_spec.make_semantics(),
                 ideal_makespan_us=0,
                 trace="aggregate",
+                device=DeviceModel.homogeneous(workload.n_rus, latency),
             )
             assert scalar.makespan_us == makespans[1]
 

@@ -16,6 +16,7 @@ from repro.experiments.hybrid_speedup import (
 )
 from repro.experiments.motivational import fig3_task_graph_2
 from repro.sim.simtime import ms
+from repro.hw.model import DeviceModel
 
 
 def test_hybrid_decision(benchmark):
@@ -31,8 +32,7 @@ def test_purely_runtime_decision(benchmark):
     advisor = PurelyRuntimeMobilityAdvisor(
         policy=LocalLFDPolicy(),
         graphs_by_name={graph.name: graph},
-        n_rus=4,
-        reconfig_latency=ms(4),
+        device=DeviceModel.homogeneous(4, ms(4)),
     )
     benchmark(advisor.decide, ctx)
 

@@ -68,8 +68,7 @@ class _BoomSink(TraceSink):
 def _simulate(workload, **kwargs):
     return run_simulation(
         workload.apps,
-        n_rus=workload.n_rus,
-        reconfig_latency=workload.reconfig_latency,
+        device=workload.device,
         advisor=named_policy_spec("lru").make_advisor(),
         trace="aggregate",
         **kwargs,
@@ -79,7 +78,7 @@ def _simulate(workload, **kwargs):
 def test_checkpoint_overhead_size_and_recovery(tmp_path):
     workload = paper_evaluation_workload(length=LENGTH)
     store = ArtifactStore(tmp_path / "ckpt")
-    key = run_checkpoint_key("bench", "lru", workload.n_rus)
+    key = run_checkpoint_key("bench", "lru", workload.device)
 
     # --- leg 1: bare run (and the event count that scales the others) --
     counter = _CountSink()

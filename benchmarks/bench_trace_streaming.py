@@ -28,6 +28,7 @@ from repro.core.policy_spec import local_lfd_spec
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import trace_memory_bytes
 from repro.workloads.scenarios import make_scenario
+from repro.hw.model import DeviceModel
 
 #: The paper's evaluation length — the "current ceiling" being multiplied.
 BASE_APPS = 500
@@ -45,12 +46,11 @@ def _measured_run(workload, trace_mode):
     # measures trace cost, not overhead metrics.
     result = run_simulation(
         workload.apps,
-        n_rus=workload.n_rus,
-        reconfig_latency=workload.reconfig_latency,
         advisor=spec.make_advisor(),
         semantics=spec.make_semantics(),
         ideal_makespan_us=0,
         trace=trace_mode,
+        device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
     )
     elapsed = time.perf_counter() - t0
     return result, {

@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro import (
+    DeviceModel,
     LocalLFDPolicy,
     ManagerSemantics,
     MobilityCalculator,
@@ -46,7 +47,7 @@ def build_bundle(path: Path) -> None:
     bundle = {"graphs": [graph_to_dict(g) for g in catalog], "mobility": {}}
     for n_rus in DEVICE_SIZES:
         t0 = time.perf_counter()
-        calc = MobilityCalculator(n_rus=n_rus, reconfig_latency=LATENCY)
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(n_rus, LATENCY))
         tables = calc.compute_tables(catalog)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         bundle["mobility"][str(n_rus)] = {
@@ -71,11 +72,10 @@ def run_from_bundle(path: Path) -> None:
         }
         result = run_simulation(
             apps,
-            n_rus,
-            LATENCY,
             PolicyAdvisor(LocalLFDPolicy(), skip_events=True),
             ManagerSemantics(lookahead_apps=2),
             mobility_tables=mobility,
+            device=DeviceModel.homogeneous(n_rus, LATENCY),
         )
         print(
             f"  {n_rus} RUs: reuse {result.reuse_pct:.1f} %, "

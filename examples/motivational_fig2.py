@@ -28,8 +28,7 @@ from repro import (
     run_simulation,
 )
 from repro.experiments.motivational import (
-    N_RUS,
-    RECONFIG_LATENCY,
+    PAPER_EXAMPLE_DEVICE,
     fig2_sequence,
     fig2_task_graph_1,
     fig2_task_graph_2,
@@ -58,7 +57,7 @@ def main() -> None:
         ),
     ]
     for label, advisor, semantics in runs:
-        result = run_simulation(apps, N_RUS, RECONFIG_LATENCY, advisor, semantics)
+        result = run_simulation(apps, advisor, semantics, device=PAPER_EXAMPLE_DEVICE)
         print("=" * 70)
         print(
             f"{label}: reuse {result.reuse_pct:.1f} %, "

@@ -10,7 +10,7 @@ compares four replacement strategies:
 * Local LFD (1) + Skip Events — with the hybrid design-time mobility phase,
 * LFD            — the clairvoyant optimum (upper bound).
 
-Everything goes through the declarative API: a :class:`repro.Device`
+Everything goes through the declarative API: a :class:`repro.DeviceModel`
 describes the hardware, each strategy is a :class:`repro.PolicySpec`, and
 one :class:`repro.Session` runs them all — computing the design-time
 artifacts (mobility tables, zero-latency ideal) once and sharing them.
@@ -23,7 +23,7 @@ Usage::
 from __future__ import annotations
 
 from repro import (
-    Device,
+    DeviceModel,
     PolicySpec,
     LFDPolicy,
     Session,
@@ -36,7 +36,7 @@ from repro import (
 from repro.util.tables import TextTable
 from repro.workloads.sequence import random_sequence
 
-DEVICE = Device(n_rus=5, reconfig_latency=ms(4))
+DEVICE = DeviceModel.homogeneous(5, ms(4))
                           # 4..10 RUs in the paper's sweep; 5 shows skips
                           # improving both reuse AND overhead (at 4 RUs the
                           # literal skip rule trades overhead for reuse —

@@ -28,8 +28,7 @@ from repro import (
     run_simulation,
 )
 from repro.experiments.motivational import (
-    N_RUS,
-    RECONFIG_LATENCY,
+    PAPER_EXAMPLE_DEVICE,
     fig3_sequence,
     fig3_task_graph_2,
     run_fig7,
@@ -58,7 +57,7 @@ def main() -> None:
     print("RUN TIME — sequence TG1, TG2, TG1 on 4 RUs (Fig. 3)")
 
     asap = run_simulation(
-        apps, N_RUS, RECONFIG_LATENCY, PolicyAdvisor(LocalLFDPolicy()), semantics
+        apps, PolicyAdvisor(LocalLFDPolicy()), semantics, device=PAPER_EXAMPLE_DEVICE
     )
     print(
         f"\n(a) Local LFD, pure ASAP: reuse {asap.reuse_pct:.0f} %, "
@@ -66,14 +65,13 @@ def main() -> None:
     )
     print(render_gantt(asap.trace, cell_us=2000))
 
-    mobility = MobilityCalculator(N_RUS, RECONFIG_LATENCY).compute_tables(apps)
+    mobility = MobilityCalculator(device=PAPER_EXAMPLE_DEVICE).compute_tables(apps)
     skip = run_simulation(
         apps,
-        N_RUS,
-        RECONFIG_LATENCY,
         PolicyAdvisor(LocalLFDPolicy(), skip_events=True),
         semantics,
         mobility_tables=mobility,
+        device=PAPER_EXAMPLE_DEVICE,
     )
     print(
         f"\n(b) Local LFD + Skip Events: reuse {skip.reuse_pct:.0f} %, "

@@ -3,9 +3,9 @@ in Reconfigurable Systems" (Clemente et al., 2011).
 
 Quickstart (the declarative API)::
 
-    from repro import Device, Session, local_lfd_spec, lru_spec, ms
+    from repro import DeviceModel, Session, local_lfd_spec, lru_spec, ms
 
-    session = Session(Device(n_rus=4, reconfig_latency=ms(4)), "quick")
+    session = Session(DeviceModel.homogeneous(4, ms(4)), "quick")
     result = session.run(local_lfd_spec(1, skip_events=True))
     print(result.summary())
 
@@ -19,8 +19,9 @@ Quickstart (the declarative API)::
 The session computes the design-time artifacts (mobility tables,
 zero-latency ideal makespans) once per ``(workload, n_rus)`` and shares
 them across every policy spec — the paper's hybrid design-time/run-time
-split, made structural.  The original :func:`simulate` entry point remains
-as a deprecated shim over the same engine.
+split, made structural.  The hardware is always a
+:class:`~repro.hw.model.DeviceModel`; :func:`run_simulation` is the
+low-level engine entry point underneath the session.
 
 See DESIGN.md for the system inventory and the S1-S6 resolved semantics,
 and EXPERIMENTS.md for the paper-vs-measured record of every artifact.
@@ -72,7 +73,6 @@ from repro.sim import (
     ms,
     render_gantt,
     run_simulation,
-    simulate,
     validate_trace,
 )
 from repro.artifacts import ArtifactStore, default_store_root
@@ -84,7 +84,6 @@ from repro.hw import (
     PAPER_DEVICE_MODEL,
     PerConfigLatency,
     RUSlot,
-    as_device_model,
     available_device_presets,
     make_device,
     parse_latency_model,
@@ -115,9 +114,7 @@ from repro.workloads import (
     scenario,
 )
 from repro.core import (
-    Device,
     DynamicList,
-    PAPER_DEVICE,
     PolicySpec,
     fig9a_specs,
     fig9b_specs,
@@ -185,7 +182,6 @@ __all__ = [
     "render_gantt",
     "replay_events",
     "run_simulation",
-    "simulate",
     "trace_from_jsonl",
     "validate_trace",
     # session (the declarative engine)
@@ -215,7 +211,6 @@ __all__ = [
     "PAPER_DEVICE_MODEL",
     "PerConfigLatency",
     "RUSlot",
-    "as_device_model",
     "available_device_presets",
     "make_device",
     "parse_latency_model",
@@ -225,8 +220,6 @@ __all__ = [
     "make_scenario",
     "scenario",
     # core
-    "Device",
-    "PAPER_DEVICE",
     "PolicySpec",
     "fig9a_specs",
     "fig9b_specs",

@@ -5,8 +5,9 @@ processes (or two machines) that describe the same inputs derive the same
 key without coordination.  The key inputs mirror what each artifact
 actually depends on:
 
-* **mobility tables** — graph content, ``n_rus``, ``reconfig_latency``
-  (a delay harmless on a wide device can be harmful on a narrow one);
+* **mobility tables** — graph content and the device fingerprint (slots,
+  latency model, controllers: a delay harmless on a wide device can be
+  harmful on a narrow one);
 * **compiled workloads** — workload content (graphs *and* sequence
   order).
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.graphs.serialization import graph_to_dict
 from repro.graphs.task_graph import TaskGraph
@@ -60,20 +61,6 @@ def workload_content_key(workload) -> str:
     return _digest(payload)
 
 
-def device_fingerprint(device: Optional[DeviceModel]) -> Optional[dict]:
-    """Canonical device identity for artifact keys, or ``None``.
-
-    ``None`` — both for a missing device and for any
-    :meth:`~repro.hw.model.DeviceModel.is_paper_path` device — keeps the
-    legacy key payloads byte-identical, so warm stores populated before
-    the device-model refactor (and by scalar-device runs after it) stay
-    valid.  Only genuinely heterogeneous hardware grows the key.
-    """
-    if device is None or device.is_paper_path():
-        return None
-    return device.fingerprint()
-
-
 def compiled_key(content_key: str) -> str:
     """Composite key for one compiled-workload entry.
 
@@ -85,23 +72,14 @@ def compiled_key(content_key: str) -> str:
     return _digest(["compiled-v1", content_key])
 
 
-def mobility_key(
-    content_key: str,
-    n_rus: int,
-    reconfig_latency: int,
-    device: Optional[DeviceModel] = None,
-) -> str:
+def mobility_key(content_key: str, device: DeviceModel) -> str:
     """Composite key for one workload's mobility tables entry.
 
     ``content_key`` is :func:`graphs_content_key` of the distinct graphs
     (or :func:`workload_content_key`; any stable content digest works as
-    long as producer and consumer agree).  A heterogeneous ``device``
-    extends the key with its full fingerprint — mobility depends on slot
-    compatibility, per-configuration load costs *and* the controller
-    count; paper-path devices keep the legacy payload byte-identical.
+    long as producer and consumer agree).  ``device`` contributes its full
+    :meth:`~repro.hw.model.DeviceModel.fingerprint` — mobility depends on
+    the RU count, slot compatibility, per-configuration load costs *and*
+    the controller count.
     """
-    payload: list = ["mobility", content_key, int(n_rus), int(reconfig_latency)]
-    fp = device_fingerprint(device)
-    if fp is not None:
-        payload.append(fp)
-    return _digest(payload)
+    return _digest(["mobility", content_key, device.fingerprint()])

@@ -184,16 +184,14 @@ def decode_task(key: str, entry: Any) -> Dict:
         out = {
             "index": int(payload["index"]),
             "spec_b64": str(payload["spec_b64"]),
-            "n_rus": int(payload["n_rus"]),
-            "reconfig_latency": int(payload["reconfig_latency"]),
-            "device_b64": payload.get("device_b64"),
+            "device_b64": payload["device_b64"],
             "ideal_us": int(payload["ideal_us"]),
             "trace": str(payload.get("trace", "aggregate")),
             "mobility": _mobility_tables_from_payload(payload.get("mobility")),
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactDecodeError(f"malformed task payload: {exc}") from exc
-    if out["device_b64"] is not None and not isinstance(out["device_b64"], str):
+    if not isinstance(out["device_b64"], str):
         raise ArtifactDecodeError("task device_b64 is not a string")
     return out
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.policy_spec import PolicySpec
+from repro.exceptions import ExperimentError
 from repro.hw.model import DeviceModel
 from repro.metrics.summary import PolicyRunRecord
 from repro.sim.manager import MobilityTables
@@ -49,25 +50,56 @@ from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.sequence import Workload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepCell:
-    """One cell of a sweep/grid: which spec on which device sizing.
+    """One cell of a sweep/grid: which spec on which device.
 
-    ``device`` carries the full hardware model when the cell runs on one;
-    ``None`` means the homogeneous device implied by the scalar pair
-    (the historical behaviour, byte-identical artifacts and all).
+    ``device`` always holds the cell's
+    :class:`~repro.hw.model.DeviceModel`.  The constructor also accepts
+    the ``n_rus``/``reconfig_latency`` pair, which describes
+    ``DeviceModel.homogeneous(n_rus, reconfig_latency)``; given together
+    with ``device``, the pair must agree with it.
     """
 
     spec: PolicySpec
-    n_rus: int
-    reconfig_latency: int
-    device: Optional[DeviceModel] = None
+    device: DeviceModel
+
+    def __init__(
+        self,
+        spec: PolicySpec,
+        n_rus: Optional[int] = None,
+        reconfig_latency: Optional[int] = None,
+        device: Optional[DeviceModel] = None,
+    ) -> None:
+        if device is None:
+            if n_rus is None or reconfig_latency is None:
+                raise TypeError(
+                    "SweepCell needs device= or both n_rus and reconfig_latency"
+                )
+            device = DeviceModel.homogeneous(n_rus, reconfig_latency)
+        elif n_rus not in (None, device.n_rus) or (
+            reconfig_latency not in (None, device.reconfig_latency)
+        ):
+            raise ExperimentError(
+                f"SweepCell: n_rus={n_rus}, reconfig_latency={reconfig_latency} "
+                f"contradicts device {device.label!r}"
+            )
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "device", device)
+
+    @property
+    def n_rus(self) -> int:
+        return self.device.n_rus
+
+    @property
+    def reconfig_latency(self) -> int:
+        return self.device.reconfig_latency
 
     @property
     def label(self) -> str:
-        if self.device is not None and not self.device.is_paper_path():
-            return f"{self.spec.label} @ {self.device.label}"
-        return f"{self.spec.label} @ {self.n_rus} RUs"
+        if self.device.is_paper_path():
+            return f"{self.spec.label} @ {self.n_rus} RUs"
+        return f"{self.spec.label} @ {self.device.label}"
 
 
 def _noop_started(index: int) -> None:
@@ -137,13 +169,6 @@ class CellBatch:
         return self.workload.apps
 
 
-def hardware_kwargs(cell: SweepCell) -> dict:
-    """The ``run_simulation`` hardware arguments one cell implies."""
-    if cell.device is not None:
-        return {"device": cell.device}
-    return {"n_rus": cell.n_rus, "reconfig_latency": cell.reconfig_latency}
-
-
 def run_cell(
     apps: Sequence,
     cell: SweepCell,
@@ -167,8 +192,8 @@ def run_cell(
         ideal_makespan_us=ideal_us,
         trace=trace,
         extra_sinks=extra_sinks,
+        device=cell.device,
         compiled=compiled,
-        **hardware_kwargs(cell),
     )
     return PolicyRunRecord.from_result(cell.spec.label, cell.n_rus, result)
 

@@ -129,19 +129,17 @@ class ExperimentPlan:
         return f"<{self.describe()}>"
 
 
-def _mobility_device_key(cell: SweepCell) -> Optional[str]:
-    device = cell.device
-    if device is None:
-        return None
-    return repr(sorted(device.fingerprint().items()))
+def _mobility_coords(cell: SweepCell) -> str:
+    """What a cell's mobility tables depend on: its whole device."""
+    return repr(sorted(cell.device.fingerprint().items()))
 
 
 def build_plan(cells: Sequence[SweepCell]) -> ExperimentPlan:
     """The task DAG for one batch of cells.
 
     * one ``compile`` root (the workload compiles exactly once);
-    * one ``mobility`` node per distinct ``(n_rus, reconfig_latency,
-      device)`` among the *skip-enabled* cells (ASAP cells need none);
+    * one ``mobility`` node per distinct device fingerprint among the
+      *skip-enabled* cells (ASAP cells need none);
     * one ``ideal`` node per distinct ``(n_rus, floorplan)`` — the
       coordinates the artifact cache's ideals depend on (the floorplan
       is :func:`~repro.sim.simulator.ideal_floorplan`: ``None`` unless
@@ -154,17 +152,20 @@ def build_plan(cells: Sequence[SweepCell]) -> ExperimentPlan:
     if not cells:
         raise ExperimentError("build_plan requires at least one cell")
     nodes: List[PlanNode] = [PlanNode(key=COMPILE_NODE, kind="compile")]
-    mobility_nodes: Dict[Tuple, str] = {}
+    mobility_nodes: Dict[str, str] = {}
     ideal_nodes: Dict[Tuple, str] = {}
     for cell in cells:
         if cell.spec.skip_events:
-            coords = (cell.n_rus, cell.reconfig_latency, _mobility_device_key(cell))
+            coords = _mobility_coords(cell)
             if coords not in mobility_nodes:
                 key = f"mobility:{len(mobility_nodes)}"
                 mobility_nodes[coords] = key
                 nodes.append(
                     PlanNode(
-                        key=key, kind="mobility", deps=(COMPILE_NODE,), params=coords
+                        key=key,
+                        kind="mobility",
+                        deps=(COMPILE_NODE,),
+                        params=(coords,),
                     )
                 )
         coords = (cell.n_rus, ideal_floorplan(cell.device))
@@ -178,11 +179,7 @@ def build_plan(cells: Sequence[SweepCell]) -> ExperimentPlan:
     for i, cell in enumerate(cells):
         deps = [COMPILE_NODE]
         if cell.spec.skip_events:
-            deps.append(
-                mobility_nodes[
-                    (cell.n_rus, cell.reconfig_latency, _mobility_device_key(cell))
-                ]
-            )
+            deps.append(mobility_nodes[_mobility_coords(cell)])
         deps.append(ideal_nodes[(cell.n_rus, ideal_floorplan(cell.device))])
         key = f"cell:{i}"
         cell_keys.append(key)

@@ -18,17 +18,12 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.backends.base import CellBatch, ExecutorBackend, SweepCell
 from repro.backends.batch import CellBatchRunner
-from repro.core.policy_spec import PolicySpec
 from repro.exceptions import ExperimentError
-from repro.hw.model import DeviceModel
 from repro.metrics.summary import PolicyRunRecord
-from repro.sim.manager import MobilityTables
-from repro.sim.simulator import run_simulation
-from repro.sim.tracing import TraceMode
 from repro.workloads.compiled import CompiledWorkload
 
 
@@ -51,51 +46,18 @@ def _init_worker(apps: Tuple, compiled: Optional[CompiledWorkload] = None) -> No
     _WORKER_COMPILED = compiled if compiled is not None else CompiledWorkload.compile(apps)
 
 
-def _run_cell_in_worker(
-    spec: PolicySpec,
-    n_rus: int,
-    reconfig_latency: int,
-    mobility: Optional[MobilityTables],
-    ideal_us: int,
-    trace: TraceMode = "full",
-    device: Optional[DeviceModel] = None,
-) -> PolicyRunRecord:
-    hardware: Dict[str, object] = (
-        {"device": device}
-        if device is not None
-        else {"n_rus": n_rus, "reconfig_latency": reconfig_latency}
-    )
-    result = run_simulation(
-        _WORKER_APPS,
-        advisor=spec.make_advisor(),
-        semantics=spec.make_semantics(),
-        mobility_tables=mobility,
-        ideal_makespan_us=ideal_us,
-        trace=trace,
-        compiled=_WORKER_COMPILED,
-        **hardware,
-    )
-    return PolicyRunRecord.from_result(spec.label, n_rus, result)
-
-
 def _run_cell_chunk_in_worker(chunk_args: List[Tuple]) -> List[PolicyRunRecord]:
     """Execute ``batch_size`` cells back-to-back in one worker call.
 
-    ``chunk_args`` is a list of ``(spec, n_rus, reconfig_latency,
-    mobility, ideal_us, trace, device)`` tuples; the whole chunk shares
-    the worker's warm apps/compiled context through one
+    ``chunk_args`` is a list of ``(cell, mobility, ideal_us, trace)``
+    tuples; the whole chunk shares the worker's warm apps/compiled
+    context through one
     :class:`~repro.backends.batch.CellBatchRunner`, so the per-cell
     submit/pickle/IPC overhead is paid once per chunk.
     """
     runner = CellBatchRunner(_WORKER_APPS, _WORKER_COMPILED)
     records: List[PolicyRunRecord] = []
-    for spec, n_rus, reconfig_latency, mobility, ideal_us, trace, device in chunk_args:
-        cell = SweepCell(
-            spec=spec,
-            n_rus=n_rus,
-            reconfig_latency=reconfig_latency,
-            device=device,
-        )
+    for cell, mobility, ideal_us, trace in chunk_args:
         records.append(runner.run_one(cell, mobility, ideal_us, trace=trace))
     return records
 
@@ -202,17 +164,7 @@ class ProcessPoolBackend(ExecutorBackend):
                     cell = batch.cells[i]
                     mobility, ideal = batch.artifacts[i]
                     batch.started(i)
-                    chunk_args.append(
-                        (
-                            cell.spec,
-                            cell.n_rus,
-                            cell.reconfig_latency,
-                            mobility,
-                            ideal,
-                            batch.trace_mode,
-                            cell.device,
-                        )
-                    )
+                    chunk_args.append((cell, mobility, ideal, batch.trace_mode))
                 try:
                     future = pool.submit(_run_cell_chunk_in_worker, chunk_args)
                 except RuntimeError as exc:
@@ -259,6 +211,5 @@ __all__ = [
     "ProcessPoolBackend",
     "SweepCell",
     "_init_worker",
-    "_run_cell_in_worker",
     "_run_cell_chunk_in_worker",
 ]

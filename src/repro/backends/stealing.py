@@ -170,9 +170,7 @@ class WorkStealingBackend(ExecutorBackend):
             {
                 "index": i,
                 "spec_b64": pack_obj(cell.spec),
-                "n_rus": cell.n_rus,
-                "reconfig_latency": cell.reconfig_latency,
-                "device_b64": pack_obj(cell.device) if cell.device is not None else None,
+                "device_b64": pack_obj(cell.device),
                 "mobility": mobility,
                 "ideal_us": ideal,
                 "trace": batch.trace_mode,

@@ -121,17 +121,9 @@ class _SweepContext:
 
                 os.kill(os.getpid(), signal.SIGKILL)
         try:
-            spec = unpack_obj(task["spec_b64"])
-            device = (
-                unpack_obj(task["device_b64"])
-                if task["device_b64"] is not None
-                else None
-            )
             cell = SweepCell(
-                spec=spec,
-                n_rus=task["n_rus"],
-                reconfig_latency=task["reconfig_latency"],
-                device=device,
+                spec=unpack_obj(task["spec_b64"]),
+                device=unpack_obj(task["device_b64"]),
             )
             record = self.runner.run_one(
                 cell,

@@ -551,7 +551,6 @@ def _run_single(args: argparse.Namespace) -> int:
         model = model.with_controllers(args.controllers)
     if args.latency_model is not None:
         model = model.with_latency_model(parse_latency_model(args.latency_model))
-    device_override = model if model != session.device else None
     if args.profile is not None:
         import cProfile
         import pstats
@@ -561,7 +560,7 @@ def _run_single(args: argparse.Namespace) -> int:
         result = session.run(
             spec,
             n_rus=n_rus,
-            device=device_override,
+            device=model,
             checkpoint_every=args.checkpoint or 0,
         )
         profiler.disable()
@@ -569,7 +568,7 @@ def _run_single(args: argparse.Namespace) -> int:
         result = session.run(
             spec,
             n_rus=n_rus,
-            device=device_override,
+            device=model,
             checkpoint_every=args.checkpoint or 0,
         )
     if n_rus is not None:

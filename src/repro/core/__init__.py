@@ -1,7 +1,7 @@
 """The paper's contribution: replacement policies, the run-time replacement
 module with skip events, and the design-time mobility calculation."""
 
-from repro.core.device import DEFAULT_RECONFIG_LATENCY_US, Device, PAPER_DEVICE
+from repro.graphs.multimedia import DEFAULT_RECONFIG_LATENCY_US
 from repro.core.policy_spec import (
     PolicySpec,
     fig9a_specs,
@@ -39,8 +39,6 @@ from repro.core.dynamic_list import DynamicList, replay_fig1
 
 __all__ = [
     "DEFAULT_RECONFIG_LATENCY_US",
-    "Device",
-    "PAPER_DEVICE",
     "PolicySpec",
     "fig9a_specs",
     "fig9b_specs",

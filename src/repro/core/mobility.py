@@ -49,7 +49,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.graphs.task_graph import TaskGraph
-from repro.hw.model import DeviceModel, as_device_model
+from repro.hw.model import DeviceModel
 from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
 from repro.sim.manager import ExecutionManager, MobilityTables
 from repro.sim.semantics import ManagerSemantics
@@ -84,14 +84,12 @@ class MobilityCalculator:
 
     Parameters
     ----------
-    n_rus, reconfig_latency:
-        The target device; mobility depends on both (a delay harmless on a
-        wide device can be harmful on a narrow one).  Legacy scalar pair —
-        mutually exclusive with ``device``.
     device:
-        Full :class:`~repro.hw.model.DeviceModel` target: the isolation
-        schedules then honour slot compatibility, per-configuration load
-        costs and the controller pool, so mobility tables are exact for
+        The target :class:`~repro.hw.model.DeviceModel` (keyword-only,
+        required).  Mobility depends on all of it — a delay harmless on a
+        wide device can be harmful on a narrow one — and the isolation
+        schedules honour slot compatibility, per-configuration load costs
+        and the controller pool, so mobility tables are exact for
         heterogeneous devices too.
     semantics:
         Manager semantics used for the isolation schedules.
@@ -121,33 +119,15 @@ class MobilityCalculator:
 
     def __init__(
         self,
-        n_rus: Optional[int] = None,
-        reconfig_latency: Optional[int] = None,
         semantics: ManagerSemantics = ManagerSemantics(),
         policy_factory=LocalLFDPolicy,
         max_mobility: Optional[int] = None,
         search: str = "bisect",
         verify: bool = False,
         memoize_reference: bool = True,
-        device: Optional[DeviceModel] = None,
+        *,
+        device: DeviceModel,
     ) -> None:
-        if device is None:
-            if n_rus is None or reconfig_latency is None:
-                raise ValueError(
-                    "describe the target device with device= or the "
-                    "n_rus=/reconfig_latency= scalar pair"
-                )
-            if n_rus < 1:
-                raise ValueError(f"n_rus must be >= 1, got {n_rus}")
-            if reconfig_latency < 0:
-                raise ValueError(f"reconfig_latency must be >= 0, got {reconfig_latency}")
-            device = DeviceModel.homogeneous(n_rus, reconfig_latency)
-        else:
-            if n_rus is not None or reconfig_latency is not None:
-                raise ValueError(
-                    "pass either device= or n_rus=/reconfig_latency=, not both"
-                )
-            device = as_device_model(device)
         if search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}, got {search!r}")
         self.device = device
@@ -366,16 +346,13 @@ class PurelyRuntimeMobilityAdvisor(ReplacementAdvisor):
         self,
         policy: ReplacementPolicy,
         graphs_by_name: Mapping[str, TaskGraph],
-        n_rus: Optional[int] = None,
-        reconfig_latency: Optional[int] = None,
         semantics: ManagerSemantics = ManagerSemantics(),
-        device: Optional[DeviceModel] = None,
+        *,
+        device: DeviceModel,
     ) -> None:
         self.policy = policy
         self.graphs_by_name = dict(graphs_by_name)
         self.calculator = MobilityCalculator(
-            n_rus=n_rus,
-            reconfig_latency=reconfig_latency,
             semantics=semantics,
             search="linear",
             memoize_reference=False,

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.graphs.task_graph import TaskGraph
+from repro.hw.model import DeviceModel
 from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
 from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import ManagerSemantics
@@ -75,10 +76,10 @@ class OptimalResult:
 
 def exhaustive_best_reuse(
     graphs: Sequence[TaskGraph],
-    n_rus: int,
-    reconfig_latency: int,
     semantics: ManagerSemantics = ManagerSemantics(),
     max_runs: int = 50_000,
+    *,
+    device: DeviceModel,
 ) -> OptimalResult:
     """True maximum reuse over all victim-choice sequences (ASAP, no skips).
 
@@ -95,8 +96,7 @@ def exhaustive_best_reuse(
         advisor = ScriptedAdvisor(script)
         manager = ExecutionManager(
             graphs=list(graphs),
-            n_rus=n_rus,
-            reconfig_latency=reconfig_latency,
+            device=device,
             advisor=advisor,
             semantics=semantics,
         )

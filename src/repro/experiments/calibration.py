@@ -27,12 +27,13 @@ from repro.core.replacement_module import PolicyAdvisor
 from repro.exceptions import SimulationError
 from repro.graphs.builders import TaskGraphBuilder
 from repro.graphs.task_graph import TaskGraph
+from repro.hw.model import DeviceModel
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.simtime import ms
 from repro.sim.simulator import run_simulation
 
-N_RUS = 4
-LATENCY = ms(4)
+#: The worked examples' device: 4 RUs, 4 ms reconfigurations.
+DEVICE = DeviceModel.homogeneous(4, ms(4))
 
 #: Paper Fig. 2 targets: (reuse %, overhead ms) per policy.
 FIG2_TARGETS = {"LRU": (16.7, 22.0), "LFD": (41.7, 11.0), "LocalLFD": (41.7, 15.0)}
@@ -112,7 +113,7 @@ def evaluate_fig2(candidate: Fig2Candidate) -> Optional[Dict[str, Tuple[float, f
     }
     for label, (advisor, semantics) in runs.items():
         try:
-            result = run_simulation(apps, N_RUS, LATENCY, advisor, semantics)
+            result = run_simulation(apps, advisor, semantics, device=DEVICE)
         except SimulationError:
             return None
         out[label] = (round(result.reuse_pct, 1), result.overhead_us / 1000.0)
@@ -150,7 +151,7 @@ _TG2_PAIRS = ((4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7))
 
 def evaluate_fig7(graph: TaskGraph) -> Optional[Dict[str, float]]:
     """Fig. 7 measurements (ms) for a TG2 candidate, or ``None``."""
-    calc = MobilityCalculator(n_rus=N_RUS, reconfig_latency=LATENCY)
+    calc = MobilityCalculator(device=DEVICE)
     try:
         return {
             "reference": calc.reference_makespan(graph) / 1000.0,
@@ -182,15 +183,16 @@ def evaluate_fig3(tg1: TaskGraph, tg2: TaskGraph) -> Optional[Dict[str, Dict[str
     apps = [tg1, tg2, tg1]
     semantics = ManagerSemantics(lookahead_apps=1)
     try:
-        asap = run_simulation(apps, N_RUS, LATENCY, PolicyAdvisor(LocalLFDPolicy()), semantics)
-        mobility = MobilityCalculator(N_RUS, LATENCY).compute_tables(apps)
+        asap = run_simulation(
+            apps, PolicyAdvisor(LocalLFDPolicy()), semantics, device=DEVICE
+        )
+        mobility = MobilityCalculator(device=DEVICE).compute_tables(apps)
         skip = run_simulation(
             apps,
-            N_RUS,
-            LATENCY,
             PolicyAdvisor(LocalLFDPolicy(), skip_events=True),
             semantics,
             mobility_tables=mobility,
+            device=DEVICE,
         )
     except SimulationError:
         return None

@@ -30,21 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.device import Device
 from repro.core.mobility import MobilityCalculator, PurelyRuntimeMobilityAdvisor
 from repro.core.policies.lfd import LocalLFDPolicy
 from repro.core.replacement_module import PolicyAdvisor
 from repro.experiments.motivational import fig3_task_graph_2
-from repro.graphs.multimedia import DEFAULT_RECONFIG_LATENCY_US, benchmark_suite
+from repro.graphs.multimedia import benchmark_suite
 from repro.graphs.task import ConfigId, TaskInstance
+from repro.hw.model import PAPER_DEVICE_MODEL
 from repro.sim.interface import DecisionContext
 from repro.sim.ru import RUState, RUView
 from repro.util.tables import TextTable
 from repro.util.timing import measure_calls
 
 #: Device of the paper's worked examples (4 RUs, 4 ms latency).
-DEVICE = Device(n_rus=4, reconfig_latency=DEFAULT_RECONFIG_LATENCY_US)
-N_RUS = DEVICE.n_rus
+DEVICE = PAPER_DEVICE_MODEL
 
 
 def _skip_exercising_context(graph_name: str, node_id: int) -> DecisionContext:
@@ -101,14 +100,13 @@ def run_hybrid_speedup(
     runtime = PurelyRuntimeMobilityAdvisor(
         policy=LocalLFDPolicy(),
         graphs_by_name={graph.name: graph},
-        n_rus=DEVICE.n_rus,
-        reconfig_latency=DEVICE.reconfig_latency,
+        device=DEVICE,
     )
     runtime_us = measure_calls(lambda: runtime.decide(ctx), calls_runtime) * 1e6
 
     # One-off design-time cost, measured with the production search engine
     # (bisect + memoized reference; a fresh calculator so nothing is warm).
-    calc = MobilityCalculator(n_rus=DEVICE.n_rus, reconfig_latency=DEVICE.reconfig_latency)
+    calc = MobilityCalculator(device=DEVICE)
     import time
 
     t0 = time.perf_counter()

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from repro.core.device import Device
 from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.graphs.builders import TaskGraphBuilder
 from repro.graphs.task_graph import TaskGraph
+from repro.hw.model import DeviceModel
 from repro.session import Session
 from repro.sim.simtime import ms
 from repro.sim.simulator import SimulationResult
@@ -26,7 +26,7 @@ from repro.util.tables import TextTable
 from repro.workloads.sequence import Workload
 
 #: Device used by every worked example in the paper.
-PAPER_EXAMPLE_DEVICE = Device(n_rus=4, reconfig_latency=ms(4), name="paper-example")
+PAPER_EXAMPLE_DEVICE = DeviceModel.homogeneous(4, ms(4), name="paper-example")
 N_RUS = PAPER_EXAMPLE_DEVICE.n_rus
 RECONFIG_LATENCY = PAPER_EXAMPLE_DEVICE.reconfig_latency
 
@@ -196,7 +196,7 @@ class Fig7Result:
 def run_fig7() -> Fig7Result:
     """Reproduce Fig. 7: mobility calculation on Task Graph 2, 4 RUs."""
     graph = fig3_task_graph_2()
-    calc = MobilityCalculator(n_rus=N_RUS, reconfig_latency=RECONFIG_LATENCY)
+    calc = MobilityCalculator(device=PAPER_EXAMPLE_DEVICE)
     result = calc.compute(graph)
     return Fig7Result(
         reference_makespan_ms=result.reference_makespan_us / 1000.0,

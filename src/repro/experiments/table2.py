@@ -30,16 +30,13 @@ from repro.core.mobility import MobilityCalculator
 from repro.core.policies.lfd import LocalLFDPolicy
 from repro.core.replacement_module import PolicyAdvisor
 from repro.experiments.table1 import worst_case_context, _reference_strings
-from repro.graphs.multimedia import (
-    DEFAULT_RECONFIG_LATENCY_US,
-    benchmark_suite,
-)
+from repro.graphs.multimedia import benchmark_suite
+from repro.hw.model import PAPER_DEVICE_MODEL
 from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import ManagerSemantics
 from repro.util.tables import TextTable
 from repro.util.timing import measure_best, measure_calls
 
-N_RUS = 4
 
 #: Paper Table II reference values.
 PAPER_TABLE2 = {
@@ -87,15 +84,14 @@ def run_table2(decision_calls: int = 2000) -> List[Table2Row]:
         def run_once(graph=graph):
             ExecutionManager(
                 graphs=[graph],
-                n_rus=N_RUS,
-                reconfig_latency=DEFAULT_RECONFIG_LATENCY_US,
+                device=PAPER_DEVICE_MODEL,
                 advisor=PolicyAdvisor(LocalLFDPolicy()),
                 semantics=ManagerSemantics(lookahead_apps=1),
             ).run()
 
         manager_wall_ms = measure_best(run_once, repeats=5) * 1e3
 
-        calc = MobilityCalculator(n_rus=N_RUS, reconfig_latency=DEFAULT_RECONFIG_LATENCY_US)
+        calc = MobilityCalculator(device=PAPER_DEVICE_MODEL)
         design_wall_ms = measure_best(lambda: calc.compute(graph), repeats=3) * 1e3
 
         rows.append(

@@ -18,7 +18,6 @@ from repro.hw.model import (
     PAPER_DEVICE_MODEL,
     DeviceModel,
     RUSlot,
-    as_device_model,
 )
 from repro.hw.presets import (
     available_device_presets,
@@ -35,7 +34,6 @@ __all__ = [
     "PAPER_DEVICE_MODEL",
     "PerConfigLatency",
     "RUSlot",
-    "as_device_model",
     "available_device_presets",
     "device_preset",
     "make_device",

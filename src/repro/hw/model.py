@@ -17,18 +17,18 @@ as a byte-identical special case:
   dispatched in reconfiguration-sequence order and each takes the
   lowest-numbered free controller.
 
-The engine consumes only this model; the scalar
-:class:`~repro.core.device.Device` (and the legacy ``n_rus=``/
-``reconfig_latency=`` keyword pair) coerce into it via
-:func:`as_device_model`.  :meth:`DeviceModel.is_paper_path` identifies
-the zero-overhead fast path — uniform unconstrained slots, fixed latency,
-single controller — on which every golden-value test runs unchanged.
+It is the only hardware value the engine, the design-time phase and the
+:class:`~repro.session.Session` API accept: the paper's device is
+``DeviceModel.homogeneous(n, 4000)`` (:data:`PAPER_DEVICE_MODEL` for
+``n = 4``).  :meth:`DeviceModel.is_paper_path` identifies the
+zero-overhead fast path — uniform unconstrained slots, fixed latency,
+single controller — on which every golden-value test runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DeviceError
 from repro.graphs.task import ConfigId
@@ -152,12 +152,9 @@ class DeviceModel:
         return self.latency_model.fixed_us
 
     def is_paper_path(self) -> bool:
-        """Uniform slots + fixed latency + single controller.
-
-        On this path the engine behaves byte-identically to the seed's
-        scalar ``(n_rus, reconfig_latency)`` implementation, and artifact
-        cache keys stay byte-identical too (warm stores remain valid).
-        """
+        """Uniform slots + fixed latency + single controller: the
+        paper's device family, on which the engine runs its fast path and
+        sweep-cell labels name the RU count instead of the device."""
         return (
             self.has_uniform_slots
             and self.fixed_latency_us is not None
@@ -240,27 +237,6 @@ class DeviceModel:
             f"{slot_desc}; latency {self.latency_model.describe()}; "
             f"{self.n_controllers} controller(s)"
         )
-
-
-def as_device_model(device: Union["DeviceModel", object]) -> DeviceModel:
-    """Coerce a hardware description into a :class:`DeviceModel`.
-
-    Accepts a :class:`DeviceModel` (returned as-is) or anything exposing
-    the scalar ``n_rus``/``reconfig_latency`` pair — in particular the
-    legacy :class:`~repro.core.device.Device`.
-    """
-    if isinstance(device, DeviceModel):
-        return device
-    n_rus = getattr(device, "n_rus", None)
-    latency = getattr(device, "reconfig_latency", None)
-    if n_rus is None or latency is None:
-        raise DeviceError(
-            f"cannot interpret {device!r} as a device: expected a "
-            "DeviceModel or an object with n_rus/reconfig_latency"
-        )
-    return DeviceModel.homogeneous(
-        int(n_rus), int(latency), name=getattr(device, "name", "") or ""
-    )
 
 
 #: The 4-RU, 4 ms, single-controller device of every worked example.

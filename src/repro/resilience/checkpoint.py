@@ -75,13 +75,17 @@ def _unpack(blob: str):
         raise CheckpointError(f"cannot unpickle checkpoint state: {exc}") from exc
 
 
-def run_checkpoint_key(content_key: str, label: str, n_rus: int) -> str:
+def run_checkpoint_key(content_key: str, label: str, device) -> str:
     """Deterministic checkpoint key for one (workload, policy, device) run.
 
     The same run invoked again maps to the same key, which is what makes
-    ``repro run --checkpoint`` resume automatically after a crash.
+    ``repro run --checkpoint`` resume automatically after a crash.  The
+    whole :class:`~repro.hw.model.DeviceModel` fingerprint (floorplan,
+    latency model, controllers) is part of the key.
     """
-    payload = json.dumps([str(content_key), str(label), int(n_rus)])
+    payload = json.dumps(
+        [str(content_key), str(label), device.fingerprint()], sort_keys=True
+    )
     return "run-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
@@ -91,8 +95,8 @@ def _fingerprint(manager) -> Dict[str, object]:
         "n_apps": int(compiled.n_apps),
         "n_tasks": int(compiled.n_tasks),
         "n_configs": int(compiled.n_configs),
-        "n_rus": int(manager.device.n_rus),
-        "n_controllers": int(manager.device.n_controllers),
+        # Normalised through JSON so it compares equal to a decoded one.
+        "device": json.loads(json.dumps(manager.device.fingerprint())),
         "graph_names": [capp.name for capp in compiled.graphs],
         "app_graph": [int(g) for g in compiled.app_graph],
     }

@@ -4,15 +4,19 @@ The paper's pipeline is "design-time analysis once, run-time reuse many
 times".  :class:`Session` makes that the shape of the public API instead of
 something every experiment re-wires by hand:
 
-* a :class:`~repro.core.device.Device` describes the hardware,
+* a :class:`~repro.hw.model.DeviceModel` describes the hardware — the
+  paper's device is ``DeviceModel.homogeneous(n_rus, 4000)``,
 * a :class:`~repro.workloads.sequence.Workload` (or a registered scenario
   name) describes the software,
 * a :class:`~repro.core.policy_spec.PolicySpec` describes one policy line,
 
-and the session runs any number of ``(spec, n_rus)`` cells over them,
+and the session runs any number of ``(spec, device)`` cells over them,
 computing the design-time artifacts — mobility tables and the
-zero-latency ideal makespan — **once** per ``(workload, n_rus)`` in a
+zero-latency ideal makespan — **once** per ``(workload, device)`` in a
 content-keyed two-tier :class:`ArtifactCache` shared by every cell.
+The device is the only hardware value below the session: ``n_rus`` and
+``reconfig_latency`` arguments (the paper's Fig. 9 axes) resize or
+re-latency the session's one device.
 Attach a persistent :class:`~repro.artifacts.store.ArtifactStore`
 (``Session(store=...)``) and "once" holds across processes: warm runs
 load the compiled workload and mobility tables from disk (the ideal costs
@@ -33,9 +37,9 @@ the O(1) aggregate sink of :mod:`repro.sim.tracing`; for single runs,
 
 Example::
 
-    from repro import Device, Session, local_lfd_spec, lru_spec
+    from repro import DeviceModel, Session, local_lfd_spec, lru_spec
 
-    session = Session(Device(4), "quick")
+    session = Session(DeviceModel.homogeneous(4), "quick")
     sweep = session.sweep([lru_spec(), local_lfd_spec(1, skip_events=True)],
                           ru_counts=(4, 6, 8), parallel=2)
     print(sweep.render_table("reuse_pct", "% reuse"))
@@ -43,6 +47,7 @@ Example::
 
 from __future__ import annotations
 
+import json
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,22 +67,16 @@ from repro.artifacts.schema import (
     encode_mobility_tables,
 )
 from repro.artifacts.store import ArtifactStore
-from repro.backends.base import (
-    CellBatch,
-    ExecutorBackend,
-    SweepCell,
-    hardware_kwargs as _hardware_kwargs,  # noqa: F401  (compat re-export)
-)
+from repro.backends.base import CellBatch, ExecutorBackend, SweepCell
 from repro.backends.batch import resolve_batch_size
 from repro.backends.plan import ExperimentPlan, build_plan
 from repro.backends.pool import (
     ProcessPoolBackend,
     _init_worker,  # noqa: F401  (compat re-export; was defined here)
-    _run_cell_in_worker,  # noqa: F401  (compat re-export; was defined here)
 )
-from repro.core.device import Device
 from repro.core.mobility import MobilityCalculator
-from repro.hw.model import DeviceModel, as_device_model
+from repro.hw.latency import FixedLatency
+from repro.hw.model import DeviceModel
 from repro.core.policy_spec import PolicySpec
 from repro.exceptions import ExperimentError
 from repro.graphs.task_graph import TaskGraph
@@ -94,6 +93,26 @@ from repro.sim.simulator import (
 from repro.sim.tracing import TraceMode, TraceSink
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.sequence import Workload
+
+
+def _resize_device(
+    device: DeviceModel,
+    n_rus: Optional[int] = None,
+    reconfig_latency: Optional[int] = None,
+) -> DeviceModel:
+    """``device`` at another RU count and/or fixed latency (``None``
+    keeps that axis).  Resizing a heterogeneous floorplan raises
+    (:meth:`~repro.hw.model.DeviceModel.with_n_rus`)."""
+    if n_rus is not None and n_rus != device.n_rus:
+        device = device.with_n_rus(n_rus)
+    if reconfig_latency is not None and reconfig_latency != device.reconfig_latency:
+        device = device.with_latency_model(FixedLatency(reconfig_latency))
+    return device
+
+
+def _device_key(device: DeviceModel) -> str:
+    """In-memory key for a device: its canonical fingerprint."""
+    return json.dumps(device.fingerprint(), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +151,15 @@ class ArtifactCache:
     Stores:
 
     * the **zero-latency ideal makespan** of each *graph* per ``(graph
-      content, n_rus)``, in memory only (one costs about a store load) —
+      content, n_rus)`` — all a uniform-capacity floorplan's ideal depends
+      on — in memory only (one costs about a store load) —
       a workload's ideal folds them over its sequence and arrivals
       (:func:`~repro.sim.simulator.folded_ideal`), so every latency,
       arrival pattern and workload over the catalog shares them.
       Mixed-capacity floorplans memoize whole-workload ideals instead;
-    * the **mobility tables** per ``(graph catalog content, n_rus,
-      reconfig_latency)`` (paper Fig. 6/7 — latency-dependent because
-      delayed schedules shift by it).  On disk the tables key on the
+    * the **mobility tables** per ``(graph catalog content, device
+      fingerprint)`` (paper Fig. 6/7 — latency-dependent because delayed
+      schedules shift by it).  On disk the tables key on the
       *distinct graphs* only, so workloads drawing different sequences
       from the same catalog share them.
 
@@ -165,19 +185,6 @@ class ArtifactCache:
         self.mobility_stats = CacheStats()
         self.compiled_stats = CacheStats()
         self.record_stats = CacheStats()
-
-    @staticmethod
-    def _device_memory_key(device: Optional[DeviceModel]) -> Optional[str]:
-        """In-memory key suffix for a device; ``None`` on the paper path
-        so scalar-device entries keep their historical keys."""
-        from repro.artifacts.keys import device_fingerprint
-
-        fp = device_fingerprint(device)
-        if fp is None:
-            return None
-        import json
-
-        return json.dumps(fp, sort_keys=True)
 
     def _store_put(self, kind: str, key: str, entry) -> None:
         """Publish best-effort: the value is already computed, so a disk
@@ -267,41 +274,23 @@ class ArtifactCache:
             )
         return compiled
 
-    def _calculator(
-        self,
-        n_rus: int,
-        reconfig_latency: int,
-        device: Optional[DeviceModel] = None,
-    ) -> MobilityCalculator:
-        """One calculator per device sizing, reused across compute_tables
-        calls so reference schedules stay memoized."""
-        key = (n_rus, reconfig_latency, self._device_memory_key(device))
-        calc = self._calculators.get(key)
+    def _calculator(self, device: DeviceModel, device_key: str) -> MobilityCalculator:
+        """One calculator per device, reused across compute_tables calls
+        so reference schedules stay memoized."""
+        calc = self._calculators.get(device_key)
         if calc is None:
-            if key[2] is None:
-                calc = MobilityCalculator(
-                    n_rus=n_rus, reconfig_latency=reconfig_latency
-                )
-            else:
-                calc = MobilityCalculator(device=device)
-            self._calculators[key] = calc
+            calc = self._calculators[device_key] = MobilityCalculator(device=device)
         return calc
 
     def ideal_makespan_us(
         self,
         content_key: str,
         apps: Sequence[TaskGraph],
-        n_rus: int,
+        device: DeviceModel,
         arrival_times: Optional[Sequence[int]] = None,
         semantics: ManagerSemantics = ManagerSemantics(),
-        device: Optional[DeviceModel] = None,
         compiled: Optional[CompiledWorkload] = None,
     ) -> int:
-        if device is not None and n_rus != device.n_rus:
-            raise ExperimentError(
-                f"ideal_makespan_us: n_rus={n_rus} contradicts the device "
-                f"model's {device.n_rus} RUs"
-            )
         if compiled is None:
             compiled = self.compiled_workload(content_key, apps)
         floorplan = ideal_floorplan(device)
@@ -321,15 +310,17 @@ class ArtifactCache:
             )
 
         # TaskGraph hashes and compares by content, so it is its own key.
+        ideal_device = device.zero_latency()
+
         def per_graph(graph: TaskGraph, solo: CompiledWorkload) -> int:
             return self._ideal_lookup(
-                (graph, n_rus),
-                lambda: ideal_makespan([graph], n_rus, compiled=solo),
+                (graph, device.n_rus),
+                lambda: ideal_makespan([graph], device=ideal_device, compiled=solo),
             )
 
         return folded_ideal(
             apps,
-            DeviceModel.homogeneous(n_rus, 0),
+            ideal_device,
             arrival_times,
             semantics,
             compiled,
@@ -348,12 +339,10 @@ class ArtifactCache:
         self,
         content_key: str,
         distinct_graphs: Sequence[TaskGraph],
-        n_rus: int,
-        reconfig_latency: int,
-        device: Optional[DeviceModel] = None,
+        device: DeviceModel,
     ) -> MobilityTables:
-        device_key = self._device_memory_key(device)
-        key = (content_key, n_rus, reconfig_latency, device_key)
+        device_key = _device_key(device)
+        key = (content_key, device_key)
         if key in self._mobility:
             self.mobility_stats.hits += 1
             return self._mobility[key]
@@ -362,24 +351,19 @@ class ArtifactCache:
             # Disk entries key on the graph catalog, not the sequence:
             # every workload over the same applications shares them.
             catalog_key = graphs_content_key(distinct_graphs)
-            disk_key = mobility_key(catalog_key, n_rus, reconfig_latency, device=device)
+            disk_key = mobility_key(catalog_key, device)
             stored = self.store.load("mobility", disk_key, decode_mobility_tables)
             if stored is not None:
                 self.mobility_stats.disk_hits += 1
                 self._mobility[key] = stored
                 return stored
-        tables = self._calculator(n_rus, reconfig_latency, device).compute_tables(
-            distinct_graphs
-        )
+        tables = self._calculator(device, device_key).compute_tables(distinct_graphs)
         self._mobility[key] = tables
         if self.store is not None:
             meta = {
-                "n_rus": n_rus,
-                "reconfig_latency": reconfig_latency,
                 "graphs": sorted(g.name for g in distinct_graphs),
+                "device": device.fingerprint(),
             }
-            if device_key is not None:
-                meta["device"] = device.fingerprint()
             self._store_put(
                 "mobility",
                 disk_key,
@@ -396,22 +380,21 @@ class ArtifactCache:
         """Precompute (or fault in) every persistent artifact for a
         workload sweep.
 
-        Covers the compiled workload and the mobility tables per (RU
-        count, latency) — a warm store then serves both from disk.
+        Covers the compiled workload and the mobility tables of the
+        workload's own device at each (RU count, latency) — a warm store
+        then serves both from disk.  Resizing a heterogeneous floorplan to
+        another RU count raises :class:`~repro.exceptions.DeviceError`.
         Zero-latency ideals are memory-only and cost about a store load
         to recompute, so there is nothing to warm.
         """
         content = workload_content_key(workload)
         self.compiled_workload(content, list(workload.apps))
-        latencies = (
-            tuple(reconfig_latencies)
-            if reconfig_latencies is not None
-            else (workload.reconfig_latency,)
-        )
         for n_rus in ru_counts:
-            for latency in latencies:
+            for latency in reconfig_latencies or (None,):
                 self.mobility_tables(
-                    content, workload.distinct_graphs(), n_rus, latency
+                    content,
+                    workload.distinct_graphs(),
+                    _resize_device(workload.device, n_rus, latency),
                 )
 
 
@@ -481,12 +464,11 @@ class Session:
     Parameters
     ----------
     device:
-        The hardware description — a scalar :class:`Device` or a full
-        :class:`~repro.hw.model.DeviceModel` (heterogeneous slots,
-        per-configuration latencies, multiple reconfiguration
-        controllers).  Defaults to the model a device-parameterised
-        scenario attached to its workload, else the homogeneous device
-        implied by the workload scalars.
+        The hardware: a :class:`~repro.hw.model.DeviceModel` (slots,
+        per-configuration latencies, reconfiguration controllers; the
+        paper's device is ``DeviceModel.homogeneous(n_rus, 4000)``).
+        Defaults to the workload's own device
+        (:attr:`~repro.workloads.sequence.Workload.device`).
     workload:
         A :class:`Workload`, or the name of a registered scenario
         (resolved through :func:`repro.workloads.scenarios.make_scenario`;
@@ -541,7 +523,7 @@ class Session:
 
     def __init__(
         self,
-        device: Union[Device, DeviceModel, None] = None,
+        device: Optional[DeviceModel] = None,
         workload: Union[Workload, str, None] = None,
         *,
         hooks: Iterable[SessionHooks] = (),
@@ -565,16 +547,7 @@ class Session:
                 "is given as a scenario name"
             )
         self.workload = workload
-        # Hardware resolution order: explicit argument, then the model a
-        # device-parameterised scenario attached to its workload, then the
-        # homogeneous device implied by the workload scalars.  The session
-        # always holds a full DeviceModel (a scalar Device coerces).
-        if device is not None:
-            self.device = as_device_model(device)
-        elif workload.device is not None:
-            self.device = workload.device
-        else:
-            self.device = Device.from_workload(workload).to_model()
+        self.device: DeviceModel = workload.device if device is None else device
         if store is not None and cache is not None:
             raise ExperimentError(
                 "pass either cache= or store=, not both (use "
@@ -724,28 +697,17 @@ class Session:
         self,
         n_rus: Optional[int] = None,
         reconfig_latency: Optional[int] = None,
-        device: Union[Device, DeviceModel, None] = None,
-    ) -> Tuple[int, int, Optional[DeviceModel]]:
-        """Apply per-run hardware overrides to the session device.
-
-        Returns ``(n_rus, reconfig_latency, model_or_None)`` — the model
-        is ``None`` on the homogeneous single-controller fast path, so
-        scalar cells keep their historical artifacts and labels.
-        Resizing a heterogeneous floorplan by RU count raises
+        device: Optional[DeviceModel] = None,
+    ) -> DeviceModel:
+        """The device one run or cell uses: ``device`` (default: the
+        session's) resized to ``n_rus`` / re-latencied to a fixed
+        ``reconfig_latency`` where given.  Resizing a heterogeneous
+        floorplan by RU count raises
         (:meth:`~repro.hw.model.DeviceModel.with_n_rus`); sweep over
         explicit models with :meth:`device_sweep` instead.
         """
-        model = as_device_model(device) if device is not None else self.device
-        if n_rus is not None and n_rus != model.n_rus:
-            model = model.with_n_rus(n_rus)
-        if reconfig_latency is not None and reconfig_latency != model.reconfig_latency:
-            from repro.hw.latency import FixedLatency
-
-            model = model.with_latency_model(FixedLatency(reconfig_latency))
-        return (
-            model.n_rus,
-            model.reconfig_latency,
-            None if model.is_paper_path() else model,
+        return _resize_device(
+            self.device if device is None else device, n_rus, reconfig_latency
         )
 
     # -- design-time artifacts ------------------------------------------
@@ -756,16 +718,16 @@ class Session:
         semantics: ManagerSemantics = ManagerSemantics(),
         device: Optional[DeviceModel] = None,
     ) -> int:
-        """Zero-latency ideal for this workload at ``n_rus``, honouring
-        the measured run's arrival times (idle waiting for a late
+        """Zero-latency ideal for this workload on the resolved device
+        (see :meth:`run` for ``n_rus``/``device``), honouring the
+        measured run's arrival times (idle waiting for a late
         application is not reconfiguration overhead)."""
         return self.cache.ideal_makespan_us(
             self._content_key,
             self._apps,
-            n_rus or (device.n_rus if device is not None else self.device.n_rus),
+            self._resolve_device(n_rus, device=device),
             arrival_times=arrival_times,
             semantics=semantics,
-            device=device,
             compiled=self.compiled(),
         )
 
@@ -775,25 +737,23 @@ class Session:
         reconfig_latency: Optional[int] = None,
         device: Optional[DeviceModel] = None,
     ) -> MobilityTables:
-        """Cached design-time mobility tables for this workload's graphs."""
+        """Cached design-time mobility tables for this workload's graphs
+        on the resolved device (see :meth:`run`)."""
         return self.cache.mobility_tables(
             self._content_key,
             self.workload.distinct_graphs(),
-            n_rus or (device.n_rus if device is not None else self.device.n_rus),
-            self.device.reconfig_latency if reconfig_latency is None else reconfig_latency,
-            device=device,
+            self._resolve_device(n_rus, reconfig_latency, device),
         )
 
     def _cell_artifacts(
         self, cell: SweepCell, arrival_times: Optional[Sequence[int]] = None
     ):
         mobility = (
-            self.mobility_tables(cell.n_rus, cell.reconfig_latency, device=cell.device)
+            self.mobility_tables(device=cell.device)
             if cell.spec.skip_events
             else None
         )
         ideal = self.ideal_makespan_us(
-            cell.n_rus,
             arrival_times=arrival_times,
             semantics=cell.spec.make_semantics(),
             device=cell.device,
@@ -808,8 +768,8 @@ class Session:
             raise ExperimentError("sweep requires at least one PolicySpec")
         ru_counts = tuple(ru_counts) if ru_counts is not None else (self.device.n_rus,)
         return [
-            SweepCell(spec=spec, n_rus=rus, reconfig_latency=latency, device=model)
-            for rus, latency, model in (self._resolve_device(n) for n in ru_counts)
+            SweepCell(spec, device=device)
+            for device in [self._resolve_device(n) for n in ru_counts]
             for spec in specs
         ]
 
@@ -828,10 +788,10 @@ class Session:
             else (self.device.reconfig_latency,)
         )
         return [
-            SweepCell(spec=spec, n_rus=rus, reconfig_latency=cell_lat, device=model)
-            for rus, cell_lat, model in (
+            SweepCell(spec, device=device)
+            for device in [
                 self._resolve_device(n, lat) for lat in latencies for n in ru_counts
-            )
+            ]
             for spec in specs
         ]
 
@@ -843,14 +803,15 @@ class Session:
         reconfig_latency: Optional[int] = None,
         arrival_times: Optional[Sequence[int]] = None,
         trace: Optional[TraceMode] = None,
-        device: Union[Device, DeviceModel, None] = None,
+        device: Optional[DeviceModel] = None,
         checkpoint_every: int = 0,
         checkpoint_key: Optional[str] = None,
     ) -> SimulationResult:
         """Execute one spec; returns the full :class:`SimulationResult`.
 
-        ``n_rus``/``reconfig_latency`` (or a full ``device`` model)
-        override the session device for this run only.  With
+        The run uses ``device`` (default: the session's), resized to
+        ``n_rus`` and re-latencied to a fixed ``reconfig_latency`` where
+        given — for this run only.  With
         ``arrival_times`` the zero-latency ideal is computed under the
         same arrivals (idle waiting must not be misread as
         reconfiguration overhead) and cached per arrival pattern —
@@ -864,17 +825,12 @@ class Session:
         N events (requires a ``store=``), and a re-invocation of the same
         run after a crash resumes from it — see docs/resilience.md.  The
         checkpoint key defaults to a deterministic digest of the
-        workload, spec label and RU count; pass ``checkpoint_key`` to
-        override (e.g. to isolate two concurrent identical runs).
+        workload, spec label and device fingerprint; pass
+        ``checkpoint_key`` to override (e.g. to isolate two concurrent
+        identical runs).
         """
-        cell_rus, cell_latency, cell_device = self._resolve_device(
-            n_rus, reconfig_latency, device
-        )
         cell = SweepCell(
-            spec=spec,
-            n_rus=cell_rus,
-            reconfig_latency=cell_latency,
-            device=cell_device,
+            spec, device=self._resolve_device(n_rus, reconfig_latency, device)
         )
         checkpoint_store = None
         if checkpoint_every:
@@ -888,7 +844,7 @@ class Session:
                 )
             if checkpoint_key is None:
                 checkpoint_key = run_checkpoint_key(
-                    self._content_key, spec.label, cell.n_rus
+                    self._content_key, spec.label, cell.device
                 )
         self._emit("on_run_start", cell)
         mobility, ideal = self._cell_artifacts(cell, arrival_times=arrival_times)
@@ -905,7 +861,7 @@ class Session:
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             checkpoint_key=checkpoint_key if checkpoint_every else None,
-            **_hardware_kwargs(cell),
+            device=cell.device,
         )
         self._emit(
             "on_run_end", cell, PolicyRunRecord.from_result(spec.label, cell.n_rus, result)
@@ -949,7 +905,7 @@ class Session:
     def device_sweep(
         self,
         specs: Sequence[PolicySpec],
-        devices: Sequence[Union[Device, DeviceModel]],
+        devices: Sequence[DeviceModel],
         parallel: int = 1,
         trace: Optional[TraceMode] = None,
         batch_size: Optional[int] = None,
@@ -967,29 +923,16 @@ class Session:
             raise ExperimentError("device_sweep requires at least one PolicySpec")
         if not devices:
             raise ExperimentError("device_sweep requires at least one device")
-        models = [as_device_model(d) for d in devices]
-        cells = [
-            SweepCell(
-                spec=spec,
-                n_rus=model.n_rus,
-                reconfig_latency=model.reconfig_latency,
-                device=None if model.is_paper_path() else model,
-            )
-            for model in models
-            for spec in specs
-        ]
+        cells = [SweepCell(spec, device=model) for model in devices for spec in specs]
         records = self._run_cells(cells, parallel, trace, batch_size)
         return [
             DeviceCellRecord(
                 spec_label=cell.spec.label,
-                device_label=model.label,
-                device=model,
+                device_label=cell.device.label,
+                device=cell.device,
                 record=record,
             )
-            for (cell, record), model in zip(
-                zip(cells, records),
-                (m for m in models for _ in specs),
-            )
+            for cell, record in zip(cells, records)
         ]
 
     def grid(
@@ -1059,15 +1002,11 @@ class Session:
                 self.compiled()
             elif node.kind == "mobility":
                 cell = representative[node.key]
-                mobility_for[node.key] = self.mobility_tables(
-                    cell.n_rus, cell.reconfig_latency, device=cell.device
-                )
+                mobility_for[node.key] = self.mobility_tables(device=cell.device)
             elif node.kind == "ideal":
                 cell = representative[node.key]
                 ideal_for[node.key] = self.ideal_makespan_us(
-                    cell.n_rus,
-                    semantics=cell.spec.make_semantics(),
-                    device=cell.device,
+                    semantics=cell.spec.make_semantics(), device=cell.device
                 )
         artifacts: List[Tuple[Optional[MobilityTables], int]] = []
         for i in range(len(plan.cells)):
@@ -1095,19 +1034,18 @@ class Session:
     def _record_key(self, cell: SweepCell) -> Tuple:
         """Memo key for one cell's summary record.
 
-        The record is a pure function of the workload content and the
-        cell coordinates; equal specs/devices pickle identically (frozen
-        dataclasses of plain values), and a spurious byte difference
-        only costs a cache miss, never a wrong record.
+        The record is a pure function of the workload content, the spec
+        and the device fingerprint (a device's display name does not
+        matter); equal specs pickle identically (frozen dataclasses of
+        plain values), and a spurious byte difference only costs a cache
+        miss, never a wrong record.
         """
         import pickle
 
         return (
             self._content_key,
-            pickle.dumps(
-                (cell.spec, cell.n_rus, cell.reconfig_latency, cell.device),
-                protocol=4,
-            ),
+            _device_key(cell.device),
+            pickle.dumps(cell.spec, protocol=4),
         )
 
     def _run_cells(

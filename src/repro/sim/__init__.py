@@ -50,7 +50,6 @@ from repro.sim.simulator import (
     SimulationResult,
     ideal_makespan,
     run_simulation,
-    simulate,
     sum_of_critical_paths,
 )
 from repro.sim.gantt import render_gantt, render_timeline_events
@@ -107,7 +106,6 @@ __all__ = [
     "SimulationResult",
     "ideal_makespan",
     "run_simulation",
-    "simulate",
     "sum_of_critical_paths",
     "render_gantt",
     "render_timeline_events",

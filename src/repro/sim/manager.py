@@ -6,9 +6,8 @@ execution of a sequence of applications (task graphs) on a
 classes, a per-configuration latency model, and a pool of ``n_controllers``
 reconfiguration circuitries — applying ASAP configuration prefetch, and it
 invokes the replacement module every time a new task must be loaded.  The
-paper's device (``n`` equal RUs, one circuitry, one fixed latency) is the
-homogeneous special case, still constructible through the legacy
-``n_rus=``/``reconfig_latency=`` keyword pair.
+paper's device (``n`` equal RUs, one circuitry, one fixed latency) is
+``DeviceModel.homogeneous(n, latency)``.
 
 Model summary (see DESIGN.md §3 for the resolved ambiguities S1-S6):
 
@@ -62,7 +61,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import PolicyError, SimulationError
 from repro.graphs.task import ConfigId, TaskInstance
 from repro.graphs.task_graph import TaskGraph
-from repro.hw.model import DeviceModel, as_device_model
+from repro.hw.model import DeviceModel
 from repro.sim.columns import NO_INDEX, EngineState
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.interface import Decision, ReplacementAdvisor, resolve_hook
@@ -194,18 +193,11 @@ class ExecutionManager:
     ----------
     graphs:
         The application sequence, in execution order.
-    n_rus:
-        Number of reconfigurable units (the paper sweeps 4..10).  Legacy
-        scalar pair with ``reconfig_latency`` — together they describe the
-        homogeneous single-controller device.  Mutually exclusive with
-        ``device``.
-    reconfig_latency:
-        Latency of one reconfiguration in µs (paper examples: 4000).
     device:
-        A :class:`~repro.hw.model.DeviceModel` (or anything
-        :func:`~repro.hw.model.as_device_model` accepts): heterogeneous
-        slots, per-configuration latency model, ``n_controllers``
-        parallel reconfiguration circuitries.  Every configuration of the
+        The :class:`~repro.hw.model.DeviceModel` (keyword-only, required):
+        RU slots, per-configuration latency model, ``n_controllers``
+        parallel reconfiguration circuitries — the paper's device is
+        ``DeviceModel.homogeneous(n_rus, 4000)``.  Every configuration of the
         workload must fit at least one slot (checked at construction).
         Controller arbitration is deterministic: loads dispatch in
         reconfiguration-sequence order onto the lowest-numbered free
@@ -248,8 +240,6 @@ class ExecutionManager:
     def __init__(
         self,
         graphs: Sequence[TaskGraph],
-        n_rus: Optional[int] = None,
-        reconfig_latency: Optional[int] = None,
         advisor: Optional[ReplacementAdvisor] = None,
         semantics: ManagerSemantics = ManagerSemantics(),
         mobility_tables: Optional[MobilityTables] = None,
@@ -257,31 +247,12 @@ class ExecutionManager:
         forced_delays: Optional[Mapping[Tuple[int, int], int]] = None,
         trace: TraceMode = "full",
         extra_sinks: Sequence[TraceSink] = (),
-        device: Optional[DeviceModel] = None,
+        *,
+        device: DeviceModel,
         compiled: Optional[CompiledWorkload] = None,
     ) -> None:
         if advisor is None:
             raise SimulationError("an advisor (replacement module) is required")
-        if device is None:
-            if n_rus is None or reconfig_latency is None:
-                raise SimulationError(
-                    "describe the hardware with device=DeviceModel(...) or "
-                    "the legacy n_rus=/reconfig_latency= scalar pair"
-                )
-            if n_rus < 1:
-                raise SimulationError(f"n_rus must be >= 1, got {n_rus}")
-            if reconfig_latency < 0:
-                raise SimulationError(
-                    f"reconfig_latency must be >= 0, got {reconfig_latency}"
-                )
-            device = DeviceModel.homogeneous(n_rus, reconfig_latency)
-        else:
-            if n_rus is not None or reconfig_latency is not None:
-                raise SimulationError(
-                    "pass either device= or the n_rus=/reconfig_latency= "
-                    "scalar pair, not both"
-                )
-            device = as_device_model(device)
         compiled = self.checked_workload(graphs, arrival_times, device, compiled)
 
         self.semantics = semantics

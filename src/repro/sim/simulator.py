@@ -5,8 +5,9 @@ configuration and a replacement advisor into the :class:`ExecutionManager`
 and returns a :class:`SimulationResult` with the trace and the derived
 headline metrics (reuse rate, reconfiguration overhead vs. the
 zero-latency ideal).  It is the single engine entry point used by
-:class:`repro.session.Session`; :func:`simulate` is the original
-seven-argument API, kept as a deprecated shim over the same engine.
+:class:`repro.session.Session`.  The hardware is always a
+:class:`~repro.hw.model.DeviceModel`, passed as the keyword-only
+``device=``.
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ class SimulationResult:
 
 def run_simulation(
     graphs: Sequence[TaskGraph],
-    n_rus: Optional[int] = None,
-    reconfig_latency: Optional[int] = None,
     advisor: Optional[ReplacementAdvisor] = None,
     semantics: ManagerSemantics = ManagerSemantics(),
     mobility_tables: Optional[MobilityTables] = None,
@@ -116,7 +115,8 @@ def run_simulation(
     ideal_makespan_us: Optional[int] = None,
     trace: TraceMode = "full",
     extra_sinks: Sequence[TraceSink] = (),
-    device: Optional[DeviceModel] = None,
+    *,
+    device: DeviceModel,
     compiled: Optional[CompiledWorkload] = None,
     checkpoint_every: int = 0,
     checkpoint_store=None,
@@ -125,11 +125,9 @@ def run_simulation(
 ) -> SimulationResult:
     """Run the sequence and compute headline metrics (engine entry point).
 
-    The hardware is either a full :class:`~repro.hw.model.DeviceModel`
-    (``device=``: heterogeneous slots, per-configuration latencies,
-    multiple reconfiguration controllers) or the legacy
-    ``n_rus``/``reconfig_latency`` scalar pair describing the paper's
-    homogeneous single-controller device.
+    ``device`` is the :class:`~repro.hw.model.DeviceModel` to run on
+    (slots, per-configuration latencies, reconfiguration controllers);
+    the paper's device is ``DeviceModel.homogeneous(n_rus, 4000)``.
 
     ``ideal_makespan_us`` can be supplied to avoid recomputing the
     zero-latency baseline when sweeping policies over a fixed workload —
@@ -163,8 +161,6 @@ def run_simulation(
         compiled = CompiledWorkload.compile(graphs)
     manager = ExecutionManager(
         graphs=graphs,
-        n_rus=n_rus,
-        reconfig_latency=reconfig_latency,
         advisor=advisor,
         semantics=semantics,
         mobility_tables=mobility_tables,
@@ -203,7 +199,6 @@ def run_simulation(
     if ideal_makespan_us is None:
         ideal_makespan_us = ideal_makespan(
             graphs,
-            n_rus,
             arrival_times=arrival_times,
             semantics=semantics,
             device=device,
@@ -217,56 +212,18 @@ def run_simulation(
     )
 
 
-def simulate(
-    graphs: Sequence[TaskGraph],
-    n_rus: int,
-    reconfig_latency: int,
-    advisor: ReplacementAdvisor,
-    semantics: ManagerSemantics = ManagerSemantics(),
-    mobility_tables: Optional[MobilityTables] = None,
-    arrival_times: Optional[Sequence[int]] = None,
-    ideal_makespan_us: Optional[int] = None,
-) -> SimulationResult:
-    """Deprecated shim over the :class:`repro.session.Session` engine.
-
-    This is the original loosely-coupled entry point; it forwards to
-    :func:`run_simulation` unchanged, so existing callers keep producing
-    identical results.  New code should describe the hardware with
-    :class:`repro.core.device.Device`, the policy with
-    :class:`repro.core.policy_spec.PolicySpec` and run through
-    :class:`repro.session.Session`, which adds design-time artifact
-    caching, parallel sweeps and progress hooks on top of this engine.
-    """
-    warnings.warn(
-        "simulate() is deprecated; use repro.session.Session (or the "
-        "low-level run_simulation()) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_simulation(
-        graphs,
-        n_rus=n_rus,
-        reconfig_latency=reconfig_latency,
-        advisor=advisor,
-        semantics=semantics,
-        mobility_tables=mobility_tables,
-        arrival_times=arrival_times,
-        ideal_makespan_us=ideal_makespan_us,
-    )
-
-
 def ideal_makespan(
     graphs: Sequence[TaskGraph],
-    n_rus: Optional[int] = None,
     arrival_times: Optional[Sequence[int]] = None,
     semantics: ManagerSemantics = ManagerSemantics(),
-    device: Optional[DeviceModel] = None,
+    *,
+    device: DeviceModel,
     compiled: Optional[CompiledWorkload] = None,
 ) -> int:
     """Makespan of the zero-reconfiguration-latency run on the same device.
 
     The baseline honours the measured run's barrier, arrival and resource
-    semantics.  With a full ``device=`` model it runs on
+    semantics.  It runs on ``device``'s
     :meth:`~repro.hw.model.DeviceModel.zero_latency` — same floorplan
     (slot compatibility still constrains placement) and same controller
     pool, free loads — so heterogeneous-device overheads are measured
@@ -277,18 +234,7 @@ def ideal_makespan(
     with at least as many RUs as the widest application this equals the
     sum of the applications' critical paths (asserted by the test suite).
     """
-    if device is not None:
-        ideal_device = device.zero_latency()
-        if n_rus is not None:
-            raise SimulationError(
-                "pass either device= or n_rus=, not both"
-            )
-    else:
-        if n_rus is None:
-            raise SimulationError(
-                "describe the hardware with device= or n_rus="
-            )
-        ideal_device = DeviceModel.homogeneous(n_rus, 0)
+    ideal_device = device.zero_latency()
     return folded_ideal(
         graphs,
         ideal_device,
@@ -299,13 +245,13 @@ def ideal_makespan(
     )
 
 
-def ideal_floorplan(device: Optional[DeviceModel]) -> Optional[Tuple]:
+def ideal_floorplan(device: DeviceModel) -> Optional[Tuple]:
     """The part of a device that can shape a zero-latency schedule:
     ``None`` unless slot capacities differ, else the hashable
     ``(kind, capacity_kb)`` slots.  Loads are free, so neither latency
     model nor controller count matters, and a uniform capacity fits a
     configuration everywhere or nowhere (which fails validation)."""
-    if device is None or len({s.capacity_kb for s in device.slots}) <= 1:
+    if len({s.capacity_kb for s in device.slots}) <= 1:
         return None
     return tuple((s.kind, s.capacity_kb) for s in device.slots)
 

@@ -59,6 +59,15 @@ def _repoint_closures(new_cls: type, old_cls: type) -> None:
                 continue
 
 
+def _frozen_getstate(self) -> list:
+    return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+
+def _frozen_setstate(self, state: list) -> None:
+    for f, value in zip(dataclasses.fields(self), state):
+        object.__setattr__(self, f.name, value)
+
+
 def add_slots(cls: Type[_T]) -> Type[_T]:
     """Rebuild a dataclass with ``__slots__`` (3.9-compatible).
 
@@ -84,6 +93,12 @@ def add_slots(cls: Type[_T]) -> Type[_T]:
         cls_dict.pop(name, None)  # defaults live in __init__ now
     cls_dict.pop("__dict__", None)
     cls_dict.pop("__weakref__", None)
+    if cls.__dataclass_params__.frozen:
+        # Slotted + frozen: pickle's default slot restore goes through
+        # the frozen ``__setattr__`` and raises, so pickle field values
+        # explicitly (what CPython's own ``slots=True`` does).
+        cls_dict["__getstate__"] = _frozen_getstate
+        cls_dict["__setstate__"] = _frozen_setstate
     qualname = getattr(cls, "__qualname__", None)
     new_cls = type(cls)(cls.__name__, cls.__bases__, cls_dict)
     if qualname is not None:

@@ -27,12 +27,11 @@ class Workload:
     ``apps`` repeats :class:`TaskGraph` objects by reference: instances of
     the same application share configurations, which is what creates reuse.
 
-    ``device`` optionally carries a full
-    :class:`~repro.hw.model.DeviceModel` (heterogeneous slots,
-    per-configuration latencies, multiple controllers) for scenarios that
-    are *about* the hardware; when present it must agree with the scalar
-    ``n_rus``/``reconfig_latency`` pair, which remains the
-    lowest-common-denominator description every legacy consumer reads.
+    ``device`` is the workload's :class:`~repro.hw.model.DeviceModel`:
+    scenarios that are *about* the hardware pass one (heterogeneous slots,
+    per-configuration latencies, multiple controllers), which must agree
+    with ``n_rus``; otherwise it is ``DeviceModel.homogeneous(n_rus,
+    reconfig_latency)``.
     """
 
     apps: Tuple[TaskGraph, ...]
@@ -40,7 +39,7 @@ class Workload:
     reconfig_latency: int
     name: str = "workload"
     seed: Optional[int] = None
-    device: Optional["DeviceModel"] = None
+    device: Optional[DeviceModel] = None
 
     def __post_init__(self) -> None:
         if not self.apps:
@@ -49,7 +48,13 @@ class Workload:
             raise WorkloadError(f"n_rus must be >= 1, got {self.n_rus}")
         if self.reconfig_latency < 0:
             raise WorkloadError("reconfig_latency must be >= 0")
-        if self.device is not None and self.device.n_rus != self.n_rus:
+        if self.device is None:
+            object.__setattr__(
+                self,
+                "device",
+                DeviceModel.homogeneous(self.n_rus, self.reconfig_latency),
+            )
+        elif self.device.n_rus != self.n_rus:
             raise WorkloadError(
                 f"workload says {self.n_rus} RUs but its device model has "
                 f"{self.device.n_rus}"
@@ -77,9 +82,8 @@ class Workload:
         return hist
 
     def with_device(self, n_rus: Optional[int] = None, reconfig_latency: Optional[int] = None) -> "Workload":
-        """Scalar device override; drops any attached device model (the
-        scalars redescribe the hardware, so keeping a stale model would
-        contradict them)."""
+        """Scalar device override: the workload's device becomes the
+        homogeneous one the (overridden) scalars describe."""
         return Workload(
             apps=self.apps,
             n_rus=self.n_rus if n_rus is None else n_rus,

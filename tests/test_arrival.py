@@ -8,7 +8,7 @@ from repro.exceptions import WorkloadError
 from repro.graphs.builders import chain_graph
 from repro.sim.semantics import ManagerSemantics
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
 from repro.sim.validation import validate_trace
 from repro.workloads.arrival import (
     bursty_arrivals,
@@ -17,6 +17,7 @@ from repro.workloads.arrival import (
     saturated_arrivals,
     validate_arrivals,
 )
+from repro.hw.model import DeviceModel
 
 
 class TestGenerators:
@@ -73,10 +74,16 @@ class TestArrivalSimulation:
     def test_idle_gaps_extend_makespan(self):
         g = chain_graph("G", [ms(5)])
         apps = [g, g, g]
-        sat = simulate(apps, 4, ms(4), PolicyAdvisor(LocalLFDPolicy()))
-        spaced = simulate(
-            apps, 4, ms(4), PolicyAdvisor(LocalLFDPolicy()),
+        sat = run_simulation(
+            apps,
+            PolicyAdvisor(LocalLFDPolicy()),
+            device=DeviceModel.homogeneous(4, ms(4)),
+        )
+        spaced = run_simulation(
+            apps,
+            PolicyAdvisor(LocalLFDPolicy()),
             arrival_times=[0, ms(100), ms(200)],
+            device=DeviceModel.homogeneous(4, ms(4)),
         )
         assert spaced.makespan_us > sat.makespan_us
         validate_trace(spaced.trace, apps)
@@ -89,14 +96,18 @@ class TestArrivalSimulation:
         apps = [a, b, a]
         # With the third app arriving very late, the eviction during app 1
         # cannot know A recurs; reuse of A drops to zero.
-        late = simulate(
-            apps, 2, ms(4), PolicyAdvisor(LocalLFDPolicy()),
+        late = run_simulation(
+            apps,
+            PolicyAdvisor(LocalLFDPolicy()),
             ManagerSemantics(lookahead_apps=4),
             arrival_times=[0, 0, ms(10_000)],
+            device=DeviceModel.homogeneous(2, ms(4)),
         )
-        sat = simulate(
-            apps, 2, ms(4), PolicyAdvisor(LocalLFDPolicy()),
+        sat = run_simulation(
+            apps,
+            PolicyAdvisor(LocalLFDPolicy()),
             ManagerSemantics(lookahead_apps=4),
+            device=DeviceModel.homogeneous(2, ms(4)),
         )
         assert late.trace.n_reused_executions <= sat.trace.n_reused_executions
 

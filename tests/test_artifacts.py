@@ -27,7 +27,7 @@ from repro.artifacts.schema import (
 )
 from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import local_lfd_spec, lru_spec
-from repro.exceptions import ExperimentError
+from repro.exceptions import DeviceError, ExperimentError
 from repro.graphs.multimedia import benchmark_suite
 from repro.session import ArtifactCache, Session
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
@@ -40,6 +40,7 @@ from repro.workloads.scenarios import (
     paper_evaluation_workload,
     quick_workload,
 )
+from repro.hw.model import DeviceModel
 
 
 @pytest.fixture()
@@ -67,8 +68,9 @@ class TestKeys:
 
     def test_mobility_key_depends_on_device(self, workload):
         content = graphs_content_key(workload.distinct_graphs())
-        assert mobility_key(content, 4, 4000) != mobility_key(content, 5, 4000)
-        assert mobility_key(content, 4, 4000) != mobility_key(content, 4, 2000)
+        base = mobility_key(content, DeviceModel.homogeneous(4, 4000))
+        assert base != mobility_key(content, DeviceModel.homogeneous(5, 4000))
+        assert base != mobility_key(content, DeviceModel.homogeneous(4, 2000))
 
     def test_default_store_root_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-store"))
@@ -93,7 +95,12 @@ def test_zero_latency_ideal_semantics_invariant(workload):
     ]
     for arrival_times in (None, arrivals):
         values = {
-            ideal_makespan(apps, 4, arrival_times=arrival_times, semantics=sem)
+            ideal_makespan(
+                apps,
+                arrival_times=arrival_times,
+                semantics=sem,
+                device=DeviceModel.homogeneous(4),
+            )
             for sem in variants
         }
         assert len(values) == 1
@@ -105,7 +112,7 @@ def test_zero_latency_ideal_semantics_invariant(workload):
 class TestStoreMechanics:
     def test_round_trip_mobility(self, store):
         tables = {"JPEG": {1: 0, 2: 1}, "MPEG-1": {1: 0}}
-        key = mobility_key("content", 4, 4000)
+        key = mobility_key("content", DeviceModel.homogeneous(4, 4000))
         store.put("mobility", key, encode_mobility_tables(key, tables))
         loaded = store.load("mobility", key, decode_mobility_tables)
         assert loaded == tables
@@ -114,12 +121,12 @@ class TestStoreMechanics:
         assert all(isinstance(n, int) for t in loaded.values() for n in t)
 
     def test_miss_returns_none(self, store):
-        key = mobility_key("nothing", 4, 4000)
+        key = mobility_key("nothing", DeviceModel.homogeneous(4, 4000))
         assert store.load("mobility", key, decode_mobility_tables) is None
         assert store.stats.misses == 1
 
     def test_corrupted_entry_is_miss_and_evicted(self, store):
-        key = mobility_key("content", 4, 4000)
+        key = mobility_key("content", DeviceModel.homogeneous(4, 4000))
         tables = {"G": {1: 0}}
         path = store.put("mobility", key, encode_mobility_tables(key, tables))
         path.write_text("{ truncated", encoding="utf-8")
@@ -131,7 +138,7 @@ class TestStoreMechanics:
         assert store.load("mobility", key, decode_mobility_tables) == tables
 
     def test_schema_mismatch_is_miss_and_evicted(self, store):
-        key = mobility_key("content", 4, 4000)
+        key = mobility_key("content", DeviceModel.homogeneous(4, 4000))
         path = store.put("mobility", key, encode_mobility_tables(key, {}))
         entry = json.loads(path.read_text())
         entry["schema"] = 999
@@ -140,7 +147,7 @@ class TestStoreMechanics:
         assert not path.exists()
 
     def test_kind_and_key_mismatch_rejected(self):
-        key = mobility_key("content", 4, 4000)
+        key = mobility_key("content", DeviceModel.homogeneous(4, 4000))
         foreign = {**encode_mobility_tables(key, {}), "kind": "compiled"}
         with pytest.raises(ArtifactDecodeError):
             decode_mobility_tables(key, foreign)
@@ -153,8 +160,8 @@ class TestStoreMechanics:
             store.put("ideal", "k", {})
 
     def test_clear_and_describe(self, store):
-        k1 = mobility_key("a", 4, 4000)
-        k2 = mobility_key("a", 5, 4000)
+        k1 = mobility_key("a", DeviceModel.homogeneous(4, 4000))
+        k2 = mobility_key("a", DeviceModel.homogeneous(5, 4000))
         store.put("mobility", k1, encode_mobility_tables(k1, {"G": {1: 0}}))
         store.put("mobility", k2, encode_mobility_tables(k2, {"G": {1: 0}}))
         info = store.describe()
@@ -208,9 +215,13 @@ class TestTwoTierCache:
         assert spaced.ideal_makespan_us > saturated.ideal_makespan_us
         apps = list(workload.apps)
         assert spaced.ideal_makespan_us == ideal_makespan(
-            apps, workload.n_rus, arrival_times=arrivals
+            apps,
+            arrival_times=arrivals,
+            device=DeviceModel.homogeneous(workload.n_rus),
         )
-        assert saturated.ideal_makespan_us == ideal_makespan(apps, workload.n_rus)
+        assert saturated.ideal_makespan_us == ideal_makespan(
+            apps, device=DeviceModel.homogeneous(workload.n_rus)
+        )
         # One computation per distinct graph serves both arrival patterns,
         # and nothing ideal-shaped is written to disk.
         assert session.cache.ideal_stats.computations == len(
@@ -234,6 +245,23 @@ class TestTwoTierCache:
         b.run(local_lfd_spec(1, skip_events=True))
         assert b.cache.mobility_stats.computations == 0
         assert b.cache.mobility_stats.disk_hits == 1
+
+
+    def test_warm_covers_the_workloads_own_device(self, tmp_path):
+        """A warmed store serves the mobility tables a device scenario's
+        run reads (its floorplan, not a homogeneous stand-in)."""
+        root = tmp_path / "s"
+        workload = make_scenario("big-little", length=40)
+        ArtifactCache(store=ArtifactStore(root)).warm(
+            workload, ru_counts=(workload.n_rus,)
+        )
+        session = Session(workload=workload, store=ArtifactStore(root))
+        session.run(local_lfd_spec(1, skip_events=True))
+        stats = session.cache.mobility_stats
+        assert (stats.disk_hits, stats.computations) == (1, 0)
+        # A heterogeneous floorplan has no other RU count to warm.
+        with pytest.raises(DeviceError):
+            ArtifactCache().warm(workload, ru_counts=(6,))
 
 
 def _warm_store_worker(args):
@@ -276,8 +304,12 @@ class TestBisectMobilityEngine:
     @pytest.mark.parametrize("n_rus", [4, 5, 8])
     def test_bisect_equals_linear_on_multimedia_set(self, n_rus):
         graphs = benchmark_suite()
-        fast = MobilityCalculator(n_rus, ms(4), search="bisect")
-        literal = MobilityCalculator(n_rus, ms(4), search="linear")
+        fast = MobilityCalculator(
+            search="bisect", device=DeviceModel.homogeneous(n_rus, ms(4))
+        )
+        literal = MobilityCalculator(
+            search="linear", device=DeviceModel.homogeneous(n_rus, ms(4))
+        )
         assert fast.compute_tables(graphs) == literal.compute_tables(graphs)
 
     def test_bisect_equals_linear_on_every_registered_scenario(self):
@@ -287,10 +319,12 @@ class TestBisectMobilityEngine:
             workload = make_scenario(name, length=12)
             graphs = workload.distinct_graphs()
             fast = MobilityCalculator(
-                workload.n_rus, workload.reconfig_latency, search="bisect"
+                search="bisect",
+                device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
             )
             literal = MobilityCalculator(
-                workload.n_rus, workload.reconfig_latency, search="linear"
+                search="linear",
+                device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
             )
             assert fast.compute_tables(graphs) == literal.compute_tables(graphs), name
 
@@ -298,11 +332,15 @@ class TestBisectMobilityEngine:
         graphs = benchmark_suite()
         import warnings
 
-        checked = MobilityCalculator(4, ms(4), search="bisect", verify=True)
+        checked = MobilityCalculator(
+            search="bisect", verify=True, device=DeviceModel.homogeneous(4, ms(4))
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any divergence warning -> failure
             tables = checked.compute_tables(graphs)
-        assert tables == MobilityCalculator(4, ms(4), search="linear").compute_tables(
+        assert tables == MobilityCalculator(
+            search="linear", device=DeviceModel.homogeneous(4, ms(4))
+        ).compute_tables(
             graphs
         )
 
@@ -316,7 +354,9 @@ class TestBisectMobilityEngine:
 
         class _Synthetic(MobilityCalculator):
             def __init__(self, search):
-                super().__init__(4, ms(4), search=search)
+                super().__init__(
+                    search=search, device=DeviceModel.homogeneous(4, ms(4))
+                )
                 self.probes = 0
 
             def delayed_makespan(self, graph, node_id, delay_events):
@@ -333,7 +373,7 @@ class TestBisectMobilityEngine:
             assert fast.probes < literal.probes
 
     def test_reference_memoized_across_compute_calls(self):
-        calc = MobilityCalculator(4, ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         graph = benchmark_suite()[0]
         calc.compute(graph)
         first = calc.simulations
@@ -343,7 +383,9 @@ class TestBisectMobilityEngine:
 
     def test_invalid_search_rejected(self):
         with pytest.raises(ValueError):
-            MobilityCalculator(4, ms(4), search="quantum")
+            MobilityCalculator(
+                search="quantum", device=DeviceModel.homogeneous(4, ms(4))
+            )
 
 
 # ----------------------------------------------------------------------

@@ -395,9 +395,7 @@ def test_external_worker_honours_manifest_batch_size(workload, tmp_path):
         {
             "index": i,
             "spec_b64": pack_obj(cell.spec),
-            "n_rus": cell.n_rus,
-            "reconfig_latency": cell.reconfig_latency,
-            "device_b64": None,
+            "device_b64": pack_obj(cell.device),
             "mobility": mobility,
             "ideal_us": ideal,
             "trace": "full",

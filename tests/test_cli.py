@@ -195,9 +195,17 @@ class TestBadValues:
                 ["run", "--scenario", "huge-stream", "--length", "0"],
                 "length must be >= 1, got 0",
             ),
+            (
+                ["cache", "warm", "--store", "{tmp}", "--scenario", "quick",
+                 "--length", "10", "--rus", "0"],
+                "n_rus must be >= 1, got 0",
+            ),
         ],
     )
-    def test_library_errors_exit_2_without_traceback(self, argv, message, capsys):
+    def test_library_errors_exit_2_without_traceback(
+        self, argv, message, capsys, tmp_path
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"repro: error: {message}\n"

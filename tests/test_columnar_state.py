@@ -41,6 +41,7 @@ from repro.workloads.scenarios import (
     scenario_info,
 )
 from repro.workloads.sequence import random_sequence
+from repro.hw.model import DeviceModel
 
 SMALL = {"length": 14}
 
@@ -54,7 +55,7 @@ def _small_workload(name):
 def _hardware(workload):
     if workload.device is not None:
         return {"device": workload.device}
-    return {"n_rus": workload.n_rus, "reconfig_latency": workload.reconfig_latency}
+    return {"device": DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency)}
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_property_columns_match_dict_shadow(seed, n_rus, latency, length, policy
     catalog = random_benchmark_like_suite(3, seed=seed, size_range=(2, 3))
     graphs = random_sequence(catalog, length, seed=seed + 1)
     mgr = _shadow_run(
-        graphs, policy, n_rus=n_rus, reconfig_latency=latency
+        graphs, policy, device=DeviceModel.homogeneous(n_rus, latency)
     )
     assert mgr.checks == sum(len(g) for g in graphs)
     assert all(r == 0 for r in mgr.state.remaining)

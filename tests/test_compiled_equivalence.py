@@ -36,6 +36,7 @@ from repro.workloads.scenarios import (
     make_scenario,
     scenario_info,
 )
+from repro.hw.model import DeviceModel
 
 SMALL = {"length": 16}
 
@@ -164,7 +165,7 @@ def test_incremental_window_matches_literal_rescan(
         from repro.core.mobility import MobilityCalculator
 
         mobility = MobilityCalculator(
-            workload.n_rus, workload.reconfig_latency
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         ).compute_tables(workload.distinct_graphs())
     AssertingAdvisor.decisions = 0
     advisor = AssertingAdvisor(make_policy(policy_name), skip_events=skip)
@@ -190,12 +191,11 @@ def test_incremental_window_matches_under_staggered_arrivals():
     advisor = AssertingAdvisor(make_policy("lru"))
     manager = ExecutionManager(
         graphs=workload.apps,
-        n_rus=workload.n_rus,
-        reconfig_latency=workload.reconfig_latency,
         advisor=advisor,
         semantics=ManagerSemantics(lookahead_apps=3),
         arrival_times=arrivals,
         trace="aggregate",
+        device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
     )
     advisor.manager = manager
     manager.run()
@@ -212,7 +212,7 @@ def _events(workload, policy_name, compiled):
         from repro.core.mobility import MobilityCalculator
 
         mobility = MobilityCalculator(
-            workload.n_rus, workload.reconfig_latency
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         ).compute_tables(workload.distinct_graphs())
     sink = RecordingSink()
     ExecutionManager(
@@ -287,12 +287,11 @@ def test_jsonl_stream_byte_identical_and_lossless(tmp_path):
     def run(path, co):
         ExecutionManager(
             graphs=workload.apps,
-            n_rus=workload.n_rus,
-            reconfig_latency=workload.reconfig_latency,
             advisor=PolicyAdvisor(make_policy("local-lfd")),
             semantics=ManagerSemantics(lookahead_apps=1),
             trace=path,
             compiled=co,
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         ).run()
 
     fresh_path = tmp_path / "fresh.jsonl"
@@ -304,12 +303,11 @@ def test_jsonl_stream_byte_identical_and_lossless(tmp_path):
     # Lossless: replaying the stream rebuilds the exact full trace.
     full = ExecutionManager(
         graphs=workload.apps,
-        n_rus=workload.n_rus,
-        reconfig_latency=workload.reconfig_latency,
         advisor=PolicyAdvisor(make_policy("local-lfd")),
         semantics=ManagerSemantics(lookahead_apps=1),
         trace="full",
         compiled=compiled,
+        device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
     ).run()
     replayed = trace_from_jsonl(precompiled_path)
     assert replayed.executions == full.executions

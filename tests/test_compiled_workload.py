@@ -20,6 +20,7 @@ from repro.workloads.compiled import (
     max_concurrency,
 )
 from repro.workloads.scenarios import make_scenario
+from repro.hw.model import DeviceModel
 
 
 @pytest.fixture(scope="module")
@@ -208,10 +209,9 @@ class TestStaleCompiledRejected:
         with pytest.raises(SimulationError, match="compiled workload"):
             ExecutionManager(
                 graphs=tampered,
-                n_rus=4,
-                reconfig_latency=4000,
                 advisor=PolicyAdvisor(LRUPolicy()),
                 compiled=compiled,
+                device=DeviceModel.homogeneous(4, 4000),
             )
 
 
@@ -239,9 +239,8 @@ class TestScalarHookValidation:
             with pytest.raises(SimulationError, match="app_completed"):
                 ExecutionManager(
                     graphs=quick_workload.apps,
-                    n_rus=4,
-                    reconfig_latency=4000,
                     advisor=PolicyAdvisor(LRUPolicy()),
+                    device=DeviceModel.homogeneous(4, 4000),
                 )
         finally:
             manager_mod.resolve_trace_mode = original

@@ -1,16 +1,13 @@
-"""Homogeneous DeviceModel == legacy scalar path, event-for-event.
+"""Homogeneous DeviceModel fast path == checked path, event-for-event.
 
-The device-model refactor deleted the raw ``(n_rus, reconfig_latency)``
-threading from the engine internals; the seed's behaviour now lives in a
-homogeneous single-controller :class:`~repro.hw.model.DeviceModel` fast
-path.  This suite pins the equivalence at the strictest level available —
-the full emitted event stream, not just summaries — three ways:
-
-* the legacy scalar kwargs vs an explicit ``DeviceModel.homogeneous``,
-* vs a *capacity-annotated* uniform model (slots large enough for every
-  bitstream, exercising the compatibility-filtering code path),
-* across **every registered scenario** and **every registry policy**,
-  plus hypothesis-generated random workloads/devices.
+The seed's behaviour lives in the homogeneous single-controller
+:class:`~repro.hw.model.DeviceModel` fast path (the golden values pin
+it).  This suite pins its equivalence with a *capacity-annotated* uniform
+model — slots large enough for every bitstream, exercising the
+compatibility-filtering code path — at the strictest level available,
+the full emitted event stream, across **every registered scenario** and
+**every registry policy**, plus hypothesis-generated random
+workloads/devices.
 """
 
 import pytest
@@ -72,8 +69,8 @@ def test_homogeneous_model_matches_scalar_path(scenario_name, policy_name):
     """Every scenario x every policy: identical event streams.
 
     Device-parameterised scenarios contribute their *workload* here (run
-    on the scalar device both ways); their heterogeneous devices have no
-    scalar equivalent to compare against by construction.
+    on the homogeneous device both ways); their heterogeneous devices
+    have no uniform counterpart to compare against by construction.
     """
     workload = _small_workload(scenario_name)
     n_rus, latency = workload.n_rus, workload.reconfig_latency
@@ -84,18 +81,10 @@ def test_homogeneous_model_matches_scalar_path(scenario_name, policy_name):
     if skip:
         from repro.core.mobility import MobilityCalculator
 
-        mobility = MobilityCalculator(n_rus, latency).compute_tables(
-            workload.distinct_graphs()
-        )
+        mobility = MobilityCalculator(
+            device=DeviceModel.homogeneous(n_rus, latency)
+        ).compute_tables(workload.distinct_graphs())
 
-    legacy = _events(
-        workload.apps,
-        policy_name,
-        skip_events=skip,
-        mobility=mobility,
-        n_rus=n_rus,
-        reconfig_latency=latency,
-    )
     model = _events(
         workload.apps,
         policy_name,
@@ -103,7 +92,6 @@ def test_homogeneous_model_matches_scalar_path(scenario_name, policy_name):
         mobility=mobility,
         device=DeviceModel.homogeneous(n_rus, latency),
     )
-    assert legacy == model
 
     # A capacity-annotated uniform floorplan (every slot fits every
     # bitstream) must take the compatibility-checking path to the same
@@ -116,7 +104,7 @@ def test_homogeneous_model_matches_scalar_path(scenario_name, policy_name):
     annotated = _events(
         workload.apps, policy_name, skip_events=skip, mobility=mobility, device=roomy
     )
-    assert legacy == annotated
+    assert model == annotated
 
 
 @settings(max_examples=15, deadline=None)
@@ -131,14 +119,6 @@ def test_property_random_workloads_match(seed, n_rus, latency, length, policy):
     """Hypothesis: random catalogs, sequences and devices agree too."""
     catalog = random_benchmark_like_suite(3, seed=seed, size_range=(2, 3))
     graphs = random_sequence(catalog, length, seed=seed + 1)
-    legacy = _events(
-        graphs,
-        policy,
-        skip_events=False,
-        mobility=None,
-        n_rus=n_rus,
-        reconfig_latency=latency,
-    )
     model = _events(
         graphs,
         policy,
@@ -146,4 +126,11 @@ def test_property_random_workloads_match(seed, n_rus, latency, length, policy):
         mobility=None,
         device=DeviceModel.homogeneous(n_rus, latency),
     )
-    assert legacy == model
+    roomy = DeviceModel(
+        slots=tuple(RUSlot(kind="std", capacity_kb=4096) for _ in range(n_rus)),
+        latency_model=FixedLatency(latency),
+    )
+    annotated = _events(
+        graphs, policy, skip_events=False, mobility=None, device=roomy
+    )
+    assert model == annotated

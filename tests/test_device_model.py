@@ -2,9 +2,8 @@
 
 Covers model semantics and validation, the controller pool's
 deterministic arbitration, slot-compatibility filtering, per-configuration
-latencies in traces, device-aware artifact keys (byte-identical on the
-paper path), the fixed-vs-summed no-reuse baseline regression, the
-aggregate-view ``TypeError`` satellites, per-controller Gantt lanes, the
+latencies in traces, device-keyed artifacts, the fixed-vs-summed
+no-reuse baseline regression, the aggregate-view ``TypeError`` satellites, per-controller Gantt lanes, the
 device-parameterised scenarios, ``Session.device_sweep`` and the CLI
 device flags.
 """
@@ -13,7 +12,6 @@ import json
 
 import pytest
 
-from repro.core.device import Device, PAPER_DEVICE
 from repro.core.policy_spec import local_lfd_spec, lru_spec
 from repro.core.replacement_module import PolicyAdvisor
 from repro.core.policies.classic import LRUPolicy
@@ -26,7 +24,6 @@ from repro.hw import (
     FixedLatency,
     PerConfigLatency,
     RUSlot,
-    as_device_model,
     available_device_presets,
     make_device,
     parse_latency_model,
@@ -39,7 +36,7 @@ from repro.sim.simulator import ideal_floorplan, run_simulation
 from repro.sim.tracing import AggregateTrace
 from repro.sim.validation import validate_trace
 from repro.workloads.scenarios import make_scenario, scenario_info
-from repro.artifacts.keys import device_fingerprint, mobility_key
+from repro.artifacts.keys import mobility_key
 
 
 def _advisor():
@@ -141,14 +138,6 @@ class TestDeviceModel:
             DeviceModel.homogeneous(4, 4000, n_controllers=0)
         with pytest.raises(DeviceError):
             RUSlot(capacity_kb=0)
-
-    def test_coercion_and_bridge(self):
-        model = as_device_model(Device(n_rus=5, reconfig_latency=2000))
-        assert (model.n_rus, model.reconfig_latency) == (5, 2000)
-        assert model.is_paper_path()
-        assert PAPER_DEVICE.to_model().is_paper_path()
-        with pytest.raises(DeviceError):
-            as_device_model(object())
 
     def test_fingerprint_is_canonical_json(self):
         fp = make_device("big-little-4").fingerprint()
@@ -364,7 +353,9 @@ class TestAggregateTypeErrors:
 class TestGanttControllerLanes:
     def test_single_controller_has_no_lanes(self):
         trace = ExecutionManager(
-            graphs=[_fork()], advisor=_advisor(), n_rus=4, reconfig_latency=4000
+            graphs=[_fork()],
+            advisor=_advisor(),
+            device=DeviceModel.homogeneous(4, 4000),
         ).run()
         assert "C0:" not in render_gantt(trace)
 
@@ -383,20 +374,26 @@ class TestGanttControllerLanes:
 # Artifact keys
 # ----------------------------------------------------------------------
 class TestDeviceKeys:
-    def test_paper_path_devices_keep_legacy_keys(self):
+    def test_mobility_key_covers_the_device_fingerprint(self):
         paper = DeviceModel.homogeneous(4, 4000)
-        assert device_fingerprint(None) is None
-        assert device_fingerprint(paper) is None
-        assert mobility_key("c", 4, 4000) == mobility_key("c", 4, 4000, device=paper)
+        # The display name is not part of the identity; size and latency are.
+        named = DeviceModel.homogeneous(4, 4000, name="paper-4ru")
+        assert mobility_key("c", paper) == mobility_key("c", named)
+        assert mobility_key("c", paper) != mobility_key(
+            "c", DeviceModel.homogeneous(5, 4000)
+        )
+        assert mobility_key("c", paper) != mobility_key(
+            "c", DeviceModel.homogeneous(4, 2000)
+        )
         assert ideal_floorplan(paper) is None
 
     def test_heterogeneous_devices_get_distinct_keys(self):
         hetero = make_device("big-little-4")
         dual = DeviceModel.homogeneous(4, 4000, n_controllers=2)
         keys = {
-            mobility_key("c", 4, 4000),
-            mobility_key("c", 4, 4000, device=hetero),
-            mobility_key("c", 4, 4000, device=dual),
+            mobility_key("c", DeviceModel.homogeneous(4, 4000)),
+            mobility_key("c", hetero),
+            mobility_key("c", dual),
         }
         assert len(keys) == 3
 
@@ -478,15 +475,35 @@ class TestDeviceScenariosAndSession:
         n_graphs = len(session.workload.distinct_graphs())
         assert session.cache.ideal_stats.computations == n_graphs
 
-    def test_ideal_cache_rejects_contradictory_n_rus(self):
-        from repro.exceptions import ExperimentError
+    def test_design_time_methods_use_the_session_device(self):
+        """``ideal_makespan_us``/``mobility_tables`` resolve the device the
+        way ``run`` does, instead of a homogeneous stand-in."""
+        from repro.core.mobility import MobilityCalculator
 
-        session = Session(workload=make_scenario("quick", length=10))
+        session = Session(workload=make_scenario("big-little", length=60))
+        assert session.run(lru_spec()).ideal_makespan_us == 4_806_000
+        assert session.ideal_makespan_us() == 4_806_000
+        assert session.mobility_tables() == MobilityCalculator(
+            device=session.device
+        ).compute_tables(session.workload.distinct_graphs())
+        with pytest.raises(DeviceError):
+            session.ideal_makespan_us(0)
+
+    def test_sweep_cell_rejects_contradictory_n_rus(self):
+        from repro.exceptions import ExperimentError
+        from repro.session import SweepCell
+
+        hetero = make_device("big-little-4")
         with pytest.raises(ExperimentError, match="contradicts"):
-            session.cache.ideal_makespan_us(
-                "key", session.workload.apps, 8,
-                device=make_device("big-little-4"),
-            )
+            SweepCell(lru_spec(), n_rus=8, device=hetero)
+        with pytest.raises(ExperimentError, match="contradicts"):
+            SweepCell(lru_spec(), reconfig_latency=1, device=hetero)
+        cell = SweepCell(lru_spec(), n_rus=4, device=hetero)
+        assert cell.device is hetero and cell.n_rus == 4
+        # The scalar pair alone describes the homogeneous device.
+        pair = SweepCell(lru_spec(), 5, 2000)
+        assert pair.device == DeviceModel.homogeneous(5, 2000)
+        assert pair.label == f"{lru_spec().label} @ 5 RUs"
 
     def test_sweep_over_ru_counts_rejects_heterogeneous_device(self):
         session = Session(

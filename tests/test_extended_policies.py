@@ -10,8 +10,9 @@ from repro.graphs.task import ConfigId, TaskInstance
 from repro.sim.interface import DecisionContext
 from repro.sim.ru import RUState, RUView
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
 from repro.sim.validation import validate_trace
+from repro.hw.model import DeviceModel
 
 
 def view(index, node, last_use=0):
@@ -135,7 +136,11 @@ class TestInSimulation:
         g = chain_graph("G", [ms(5)] * 6)
         h = chain_graph("H", [ms(5)] * 5)
         apps = [g, h, g, h, g]
-        result = simulate(apps, 3, ms(4), PolicyAdvisor(make_policy(name)))
+        result = run_simulation(
+            apps,
+            PolicyAdvisor(make_policy(name)),
+            device=DeviceModel.homogeneous(3, ms(4)),
+        )
         validate_trace(result.trace, apps)
         assert result.trace.n_executions == sum(len(a) for a in apps)
 
@@ -150,6 +155,8 @@ class TestInSimulation:
 
         spy = Spy()
         g = chain_graph("G", [ms(5), ms(5)])
-        simulate([g, g], 4, ms(4), PolicyAdvisor(spy))
+        run_simulation(
+            [g, g], PolicyAdvisor(spy), device=DeviceModel.homogeneous(4, ms(4))
+        )
         # Four executions -> four use notifications recorded.
         assert sum(spy._uses.values()) == 4

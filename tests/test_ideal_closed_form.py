@@ -44,13 +44,10 @@ class _EvictFirst(ReplacementAdvisor):
         return Decision.load(ctx.candidates[0].index)
 
 
-def simulated_ideal(graphs, n_rus=None, arrival_times=None,
-                    semantics=ManagerSemantics(), device=None):
+def simulated_ideal(graphs, arrival_times=None,
+                    semantics=ManagerSemantics(), *, device):
     """The oracle: the whole workload simulated again at zero latency."""
-    if device is not None:
-        device = device.zero_latency()
-    else:
-        device = DeviceModel.homogeneous(n_rus, 0)
+    device = device.zero_latency()
     manager = ExecutionManager(
         graphs=graphs,
         advisor=_EvictFirst(),
@@ -163,25 +160,18 @@ DIFFERENTIAL = settings(
 # Differential properties
 # ----------------------------------------------------------------------
 @DIFFERENTIAL
-@given(
-    case=cases("homogeneous"),
-    scalar=st.booleans(),
-)
-def test_closed_form_matches_simulation_on_homogeneous_devices(case, scalar):
+@given(case=cases("homogeneous"))
+def test_closed_form_matches_simulation_on_homogeneous_devices(case):
     apps, device, arrivals, semantics = case
-    if scalar:  # the legacy n_rus= path
-        hardware = {"n_rus": device.n_rus}
-    else:
-        hardware = {"device": device}
     expected = _outcome(simulated_ideal, apps, arrival_times=arrivals,
-                        semantics=semantics, **hardware)
+                        semantics=semantics, device=device)
     got = _outcome(ideal_makespan, apps, arrival_times=arrivals,
-                   semantics=semantics, **hardware)
+                   semantics=semantics, device=device)
     assert got == expected
     if expected[0] == "value":
         cached = ArtifactCache().ideal_makespan_us(
-            "content", apps, device.n_rus, arrival_times=arrivals,
-            semantics=semantics, device=None if scalar else device,
+            "content", apps, device, arrival_times=arrivals,
+            semantics=semantics,
         )
         assert cached == expected[1]
 
@@ -209,8 +199,8 @@ def test_mixed_capacity_floorplans_fall_back_to_simulation(case):
                        semantics=semantics, device=device)
         if expected[0] == "value":
             cached = ArtifactCache().ideal_makespan_us(
-                "content", apps, device.n_rus, arrival_times=arrivals,
-                semantics=semantics, device=device,
+                "content", apps, device, arrival_times=arrivals,
+                semantics=semantics,
             )
             assert cached == expected[1]
     assert got == expected
@@ -264,7 +254,7 @@ def test_closed_form_does_not_warn_on_uniform_devices(monkeypatch):
     apps, _ = _counterexample()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ideal_makespan(apps, 2) == 6000
+        assert ideal_makespan(apps, device=DeviceModel.homogeneous(2)) == 6000
         uniform = DeviceModel(slots=(RUSlot("a", 300), RUSlot("b", 300)))
         assert ideal_makespan(apps, device=uniform) == 6000
 
@@ -273,10 +263,11 @@ def test_infeasible_inputs_raise_like_a_simulated_run():
     apps, _ = _counterexample()
     little = DeviceModel(slots=(RUSlot("little", 100), RUSlot("little", 100)))
     cases_ = [
-        ((apps,), {"n_rus": 1}),  # G0 runs two tasks side by side
+        # G0 runs two tasks side by side
+        ((apps,), {"device": DeviceModel.homogeneous(1)}),
         ((apps,), {"device": little}),  # the 300 KiB task fits no slot
-        ((apps,), {"n_rus": 2, "arrival_times": [0]}),
-        (([],), {"n_rus": 2}),
+        ((apps,), {"device": DeviceModel.homogeneous(2), "arrival_times": [0]}),
+        (([],), {"device": DeviceModel.homogeneous(2)}),
     ]
     for args, kwargs in cases_:
         expected = _outcome(simulated_ideal, *args, **kwargs)

@@ -5,9 +5,10 @@ import pytest
 from repro.core.policies.classic import LRUPolicy
 from repro.core.policies.lfd import LocalLFDPolicy
 from repro.core.replacement_module import PolicyAdvisor
-from repro.exceptions import PolicyError, SimulationError
+from repro.exceptions import DeviceError, PolicyError, SimulationError
 from repro.graphs.builders import TaskGraphBuilder, chain_graph, fork_graph
 from repro.sim.interface import Decision, ReplacementAdvisor
+from repro.hw.model import DeviceModel
 from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.simtime import ms
@@ -17,8 +18,7 @@ from repro.sim.validation import validate_trace
 def run(graphs, n_rus=4, latency=ms(4), advisor=None, semantics=None, **kwargs):
     manager = ExecutionManager(
         graphs=graphs,
-        n_rus=n_rus,
-        reconfig_latency=latency,
+        device=DeviceModel.homogeneous(n_rus, latency),
         advisor=advisor or PolicyAdvisor(LRUPolicy()),
         semantics=semantics or ManagerSemantics(),
         **kwargs,
@@ -179,11 +179,11 @@ class TestValidation:
             run([])
 
     def test_zero_rus_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DeviceError):
             run([chain_graph("G", [ms(1)])], n_rus=0)
 
     def test_negative_latency_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DeviceError):
             run([chain_graph("G", [ms(1)])], latency=-1)
 
     def test_too_wide_app_rejected(self):

@@ -14,15 +14,14 @@ from repro.graphs.builders import TaskGraphBuilder, chain_graph, fork_graph
 from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
 from repro.sim.validation import validate_trace
+from repro.hw.model import DeviceModel
 
 
 def run(graphs, n_rus=4, latency=ms(4), advisor=None, semantics=None, **kw):
     manager = ExecutionManager(
         graphs=graphs,
-        n_rus=n_rus,
-        reconfig_latency=latency,
+        device=DeviceModel.homogeneous(n_rus, latency),
         advisor=advisor or PolicyAdvisor(LRUPolicy()),
         semantics=semantics or ManagerSemantics(),
         **kw,
@@ -156,7 +155,9 @@ class TestSkipInteractions:
         from repro.experiments.motivational import fig3_sequence
 
         apps = fig3_sequence()
-        mobility = MobilityCalculator(4, ms(4)).compute_tables(apps)
+        mobility = MobilityCalculator(
+            device=DeviceModel.homogeneous(4, ms(4))
+        ).compute_tables(apps)
         trace = run(
             apps,
             n_rus=4,

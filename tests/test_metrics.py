@@ -8,7 +8,8 @@ from repro.graphs.builders import chain_graph
 from repro.metrics.energy import EnergyModel, reconfiguration_energy
 from repro.metrics.summary import PolicyRunRecord, SweepResult
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
+from repro.hw.model import DeviceModel
 
 
 class TestEnergyModel:
@@ -22,7 +23,9 @@ class TestEnergyModel:
 
     def test_reuse_avoids_energy(self):
         g = chain_graph("G", [ms(10), ms(10)])
-        result = simulate([g, g], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+        result = run_simulation(
+            [g, g], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
         report = reconfiguration_energy(result.trace, [g, g])
         assert report.n_reconfigurations == 2
         assert report.n_avoided == 2
@@ -32,14 +35,18 @@ class TestEnergyModel:
     def test_no_reuse_no_savings(self):
         a = chain_graph("A", [ms(5)])
         b = chain_graph("B", [ms(5)])
-        result = simulate([a, b], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+        result = run_simulation(
+            [a, b], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
         report = reconfiguration_energy(result.trace, [a, b])
         assert report.n_avoided == 0
         assert report.savings_pct() == 0.0
 
     def test_total_mj_conversion(self):
         g = chain_graph("G", [ms(5)])
-        result = simulate([g], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+        result = run_simulation(
+            [g], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
         report = reconfiguration_energy(result.trace, [g])
         assert report.total_mj == pytest.approx(report.total_uj / 1000.0)
 
@@ -50,8 +57,14 @@ class TestEnergyModel:
         from repro.graphs.task_graph import TaskGraph
 
         big = TaskGraph("B", [TaskSpec(1, ms(5), bitstream_kb=2048)])
-        rs = simulate([small], 4, ms(4), PolicyAdvisor(LRUPolicy()))
-        rb = simulate([big], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+        rs = run_simulation(
+            [small],
+            PolicyAdvisor(LRUPolicy()),
+            device=DeviceModel.homogeneous(4, ms(4)),
+        )
+        rb = run_simulation(
+            [big], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
         es = reconfiguration_energy(rs.trace, [small])
         eb = reconfiguration_energy(rb.trace, [big])
         assert eb.total_uj > es.total_uj
@@ -99,7 +112,9 @@ class TestSweepResult:
 
     def test_from_result(self):
         g = chain_graph("G", [ms(10)])
-        result = simulate([g, g], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+        result = run_simulation(
+            [g, g], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
         record = PolicyRunRecord.from_result("LRU", 4, result)
         assert record.policy_label == "LRU"
         assert record.reuse_pct == pytest.approx(50.0)

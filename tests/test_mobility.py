@@ -6,23 +6,25 @@ from repro.core.mobility import MobilityCalculator, PurelyRuntimeMobilityAdvisor
 from repro.core.policies.classic import LRUPolicy
 from repro.core.policies.extended import LFUPolicy, LRUKPolicy
 from repro.core.policies.lfd import LocalLFDPolicy
+from repro.exceptions import DeviceError
 from repro.experiments.motivational import fig3_task_graph_2
 from repro.graphs.builders import chain_graph, fork_graph
 from repro.sim.simtime import ms
+from repro.hw.model import DeviceModel
 
 
 class TestReferenceSchedule:
     def test_fig7_reference_is_30ms(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         assert calc.reference_makespan(fig3_task_graph_2()) == ms(30)
 
     def test_zero_delay_equals_reference(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         g = chain_graph("G", [ms(10), ms(10)])
         assert calc.delayed_makespan(g, 2, 0) == calc.reference_makespan(g)
 
     def test_infeasible_delay_reports_infinite(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         g = chain_graph("G", [ms(10)])
         # Delaying the only task by many events: no events ever arrive.
         assert calc.delayed_makespan(g, 1, 50) >= 2**62
@@ -33,7 +35,7 @@ class TestFig7Mobilities:
 
     @pytest.fixture(scope="class")
     def calc(self):
-        return MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        return MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -60,7 +62,7 @@ class TestFig7Mobilities:
 
 class TestMobilityProperties:
     def test_first_task_always_zero(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         g = chain_graph("G", [ms(5), ms(5), ms(5)])
         result = calc.compute(g)
         first = g.reconfiguration_order()[0]
@@ -69,41 +71,43 @@ class TestMobilityProperties:
     def test_long_head_chain_has_zero_tail_mobility(self):
         # 1(100ms) -> 2(1ms): the only event after end_rec1 is end_exec1 at
         # t=104, so delaying rec2 exposes its full latency; mobility 0.
-        calc = MobilityCalculator(n_rus=2, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(2, ms(4)))
         g = chain_graph("G", [ms(100), ms(1)])
         result = calc.compute(g)
         assert result.mobilities[2] == 0
 
     def test_fig7_task7_has_positive_mobility(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         assert calc.compute(fig3_task_graph_2()).mobilities[7] == 1
 
     def test_compute_is_deterministic(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         g = fig3_task_graph_2()
         assert calc.compute(g).mobilities == calc.compute(g).mobilities
 
     def test_tables_deduplicate_by_name(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         g = chain_graph("G", [ms(5), ms(5)])
         tables = calc.compute_tables([g, g, g])
         assert set(tables) == {"G"}
 
     def test_max_mobility_cap_respected(self):
-        calc = MobilityCalculator(n_rus=2, reconfig_latency=ms(4), max_mobility=1)
+        calc = MobilityCalculator(
+            max_mobility=1, device=DeviceModel.homogeneous(2, ms(4))
+        )
         g = chain_graph("G", [ms(100), ms(1)])
         assert calc.compute(g).mobilities[2] <= 1
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            MobilityCalculator(n_rus=0, reconfig_latency=ms(4))
-        with pytest.raises(ValueError):
-            MobilityCalculator(n_rus=4, reconfig_latency=-1)
+        with pytest.raises(DeviceError):
+            MobilityCalculator(device=DeviceModel.homogeneous(0, ms(4)))
+        with pytest.raises(DeviceError):
+            MobilityCalculator(device=DeviceModel.homogeneous(4, -1))
 
 
 class TestMobilityInvariants:
     def test_delay_within_mobility_never_increases_makespan(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         for graph in (fig3_task_graph_2(), fork_graph("F", ms(20), [ms(5), ms(6), ms(7)])):
             result = calc.compute(graph)
             ref = result.reference_makespan_us
@@ -112,7 +116,7 @@ class TestMobilityInvariants:
                     assert calc.delayed_makespan(graph, node, d) <= ref
 
     def test_delay_beyond_mobility_increases_makespan(self):
-        calc = MobilityCalculator(n_rus=4, reconfig_latency=ms(4))
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
         graph = fig3_task_graph_2()
         result = calc.compute(graph)
         ref = result.reference_makespan_us
@@ -147,30 +151,27 @@ class TestPurelyRuntimeStatefulEquivalence:
         workload = make_scenario("paper-eval", length=30)
         graphs_by_name = {g.name: g for g in workload.distinct_graphs()}
         tables = MobilityCalculator(
-            workload.n_rus, workload.reconfig_latency
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         ).compute_tables(workload.distinct_graphs())
         semantics = ManagerSemantics(lookahead_apps=1)
 
         hybrid = run_simulation(
             workload.apps,
-            workload.n_rus,
-            workload.reconfig_latency,
             PolicyAdvisor(policy_factory(), skip_events=True),
             semantics,
             mobility_tables=tables,
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         )
         runtime = run_simulation(
             workload.apps,
-            workload.n_rus,
-            workload.reconfig_latency,
             PurelyRuntimeMobilityAdvisor(
                 policy=policy_factory(),
                 graphs_by_name=graphs_by_name,
-                n_rus=workload.n_rus,
-                reconfig_latency=workload.reconfig_latency,
                 semantics=semantics,
+                device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
             ),
             semantics,
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         )
         assert runtime.makespan_us == hybrid.makespan_us
         assert runtime.reuse_pct == hybrid.reuse_pct
@@ -192,8 +193,7 @@ class TestPurelyRuntimeAdvisor:
         runtime = PurelyRuntimeMobilityAdvisor(
             policy=LocalLFDPolicy(),
             graphs_by_name={graph.name: graph},
-            n_rus=4,
-            reconfig_latency=ms(4),
+            device=DeviceModel.homogeneous(4, ms(4)),
         )
         assert hybrid.decide(ctx).skip == runtime.decide(ctx).skip
 
@@ -202,8 +202,7 @@ class TestPurelyRuntimeAdvisor:
         advisor = PurelyRuntimeMobilityAdvisor(
             policy=LocalLFDPolicy(),
             graphs_by_name={graph.name: graph},
-            n_rus=4,
-            reconfig_latency=ms(4),
+            device=DeviceModel.homogeneous(4, ms(4)),
         )
         advisor._cacheless_decisions = 5
         advisor.reset()

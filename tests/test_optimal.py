@@ -18,13 +18,16 @@ from repro.graphs.builders import chain_graph
 from repro.graphs.random_graphs import random_layered_graph
 from repro.sim.semantics import ManagerSemantics
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
+from repro.hw.model import DeviceModel
 
 
 def lfd_reuse(apps, n_rus, latency):
-    result = simulate(
-        apps, n_rus, latency, PolicyAdvisor(LFDPolicy()),
+    result = run_simulation(
+        apps,
+        PolicyAdvisor(LFDPolicy()),
         ManagerSemantics(provide_oracle=True),
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
     return result.trace.n_reused_executions
 
@@ -34,14 +37,16 @@ class TestFig2Optimality:
         """On the paper's Fig. 2 workload, LFD's 5 reuses are provably
         the maximum any replacement policy can achieve."""
         apps = fig2_sequence()
-        optimum = exhaustive_best_reuse(apps, 4, ms(4))
+        optimum = exhaustive_best_reuse(apps, device=DeviceModel.homogeneous(4, ms(4)))
         assert optimum.best_reuse == 5  # the paper's 41.7 % of 12 tasks
         assert lfd_reuse(apps, 4, ms(4)) == optimum.best_reuse
 
     def test_lru_is_suboptimal_here(self):
         apps = fig2_sequence()
-        lru = simulate(apps, 4, ms(4), PolicyAdvisor(LRUPolicy()))
-        optimum = exhaustive_best_reuse(apps, 4, ms(4))
+        lru = run_simulation(
+            apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+        )
+        optimum = exhaustive_best_reuse(apps, device=DeviceModel.homogeneous(4, ms(4)))
         assert lru.trace.n_reused_executions < optimum.best_reuse
 
 
@@ -50,7 +55,7 @@ class TestFig3Optimality:
         """Fig. 3's point: NO pure-ASAP victim choice achieves any reuse
         on that workload — only delaying (skip events) does."""
         apps = fig3_sequence()
-        optimum = exhaustive_best_reuse(apps, 4, ms(4))
+        optimum = exhaustive_best_reuse(apps, device=DeviceModel.homogeneous(4, ms(4)))
         assert optimum.best_reuse == 0
 
 
@@ -62,7 +67,7 @@ class TestRandomInstances:
         b = random_layered_graph("B", 2, seed=seed + 100, max_width=2,
                                  low_us=2000, high_us=9000)
         apps = [a, b, a, b]
-        optimum = exhaustive_best_reuse(apps, 3, ms(4))
+        optimum = exhaustive_best_reuse(apps, device=DeviceModel.homogeneous(3, ms(4)))
         assert lfd_reuse(apps, 3, ms(4)) == optimum.best_reuse
 
 
@@ -72,8 +77,9 @@ class TestSearchMechanics:
         from repro.sim.manager import ExecutionManager
 
         manager = ExecutionManager(
-            graphs=[g], n_rus=2, reconfig_latency=ms(4),
+            graphs=[g],
             advisor=ScriptedAdvisor([99]),
+            device=DeviceModel.homogeneous(2, ms(4)),
         )
         with pytest.raises(ExperimentError):
             manager.run()
@@ -81,10 +87,14 @@ class TestSearchMechanics:
     def test_run_budget_enforced(self):
         apps = [chain_graph("G", [ms(5)] * 6)] * 4
         with pytest.raises(ExperimentError):
-            exhaustive_best_reuse(apps, 2, ms(4), max_runs=3)
+            exhaustive_best_reuse(
+                apps, max_runs=3, device=DeviceModel.homogeneous(2, ms(4))
+            )
 
     def test_no_evictions_means_single_run(self):
         g = chain_graph("G", [ms(5), ms(5)])
-        optimum = exhaustive_best_reuse([g, g], 4, ms(4))
+        optimum = exhaustive_best_reuse(
+            [g, g], device=DeviceModel.homogeneous(4, ms(4))
+        )
         assert optimum.runs_explored == 1
         assert optimum.best_reuse == 2

@@ -18,8 +18,9 @@ from repro.core.replacement_module import PolicyAdvisor
 from repro.graphs.random_graphs import random_layered_graph
 from repro.graphs.serialization import graph_from_json, graph_to_json
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
-from repro.sim.simulator import ideal_makespan, simulate
+from repro.sim.simulator import ideal_makespan, run_simulation
 from repro.sim.validation import validate_trace
+from repro.hw.model import DeviceModel
 
 FAST = settings(
     max_examples=25,
@@ -76,12 +77,11 @@ ADVISORS = {
 @given(data=workload_strategy(), policy=st.sampled_from(sorted(ADVISORS)))
 def test_every_trace_satisfies_invariants(data, policy):
     apps, n_rus, latency = data
-    result = simulate(
+    result = run_simulation(
         apps,
-        n_rus,
-        latency,
         ADVISORS[policy](),
         ManagerSemantics(lookahead_apps=2),
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
     validate_trace(result.trace, apps)
 
@@ -90,7 +90,9 @@ def test_every_trace_satisfies_invariants(data, policy):
 @given(data=workload_strategy())
 def test_makespan_never_below_ideal(data):
     apps, n_rus, latency = data
-    result = simulate(apps, n_rus, latency, PolicyAdvisor(LRUPolicy()))
+    result = run_simulation(
+        apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(n_rus, latency)
+    )
     assert result.makespan_us >= result.ideal_makespan_us
 
 
@@ -98,7 +100,9 @@ def test_makespan_never_below_ideal(data):
 @given(data=workload_strategy())
 def test_zero_latency_reaches_ideal(data):
     apps, n_rus, _ = data
-    result = simulate(apps, n_rus, 0, PolicyAdvisor(LRUPolicy()))
+    result = run_simulation(
+        apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(n_rus, 0)
+    )
     assert result.overhead_us == 0
 
 
@@ -106,7 +110,9 @@ def test_zero_latency_reaches_ideal(data):
 @given(data=workload_strategy())
 def test_executions_exactly_cover_workload(data):
     apps, n_rus, latency = data
-    result = simulate(apps, n_rus, latency, PolicyAdvisor(LRUPolicy()))
+    result = run_simulation(
+        apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(n_rus, latency)
+    )
     assert result.trace.n_executions == sum(len(g) for g in apps)
     # reconfigurations + reuses == executions (every task loaded or reused)
     assert (
@@ -119,7 +125,9 @@ def test_executions_exactly_cover_workload(data):
 @given(data=workload_strategy())
 def test_first_app_never_reuses(data):
     apps, n_rus, latency = data
-    result = simulate(apps, n_rus, latency, PolicyAdvisor(LRUPolicy()))
+    result = run_simulation(
+        apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(n_rus, latency)
+    )
     assert all(not e.reused for e in result.trace.executions_of_app(0))
 
 
@@ -127,12 +135,11 @@ def test_first_app_never_reuses(data):
 @given(data=workload_strategy(), mode=st.sampled_from(list(CrossAppPrefetch)))
 def test_semantics_modes_all_schedule_validly(data, mode):
     apps, n_rus, latency = data
-    result = simulate(
+    result = run_simulation(
         apps,
-        n_rus,
-        latency,
         PolicyAdvisor(LocalLFDPolicy()),
         ManagerSemantics(lookahead_apps=1, cross_app_prefetch=mode),
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
     validate_trace(result.trace, apps)
 
@@ -146,11 +153,17 @@ def test_lfd_oracle_reuse_at_least_fifo(data):
     identical manager semantics on these barrier workloads.
     """
     apps, n_rus, latency = data
-    lfd = simulate(
-        apps, n_rus, latency, PolicyAdvisor(LFDPolicy()),
+    lfd = run_simulation(
+        apps,
+        PolicyAdvisor(LFDPolicy()),
         ManagerSemantics(provide_oracle=True),
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
-    fifo = simulate(apps, n_rus, latency, PolicyAdvisor(FIFOPolicy()))
+    fifo = run_simulation(
+        apps,
+        PolicyAdvisor(FIFOPolicy()),
+        device=DeviceModel.homogeneous(n_rus, latency),
+    )
     assert lfd.trace.n_reused_executions >= fifo.trace.n_reused_executions
 
 
@@ -158,8 +171,16 @@ def test_lfd_oracle_reuse_at_least_fifo(data):
 @given(data=workload_strategy(), seed=st.integers(min_value=0, max_value=100))
 def test_simulation_is_deterministic(data, seed):
     apps, n_rus, latency = data
-    a = simulate(apps, n_rus, latency, PolicyAdvisor(RandomPolicy(seed=seed)))
-    b = simulate(apps, n_rus, latency, PolicyAdvisor(RandomPolicy(seed=seed)))
+    a = run_simulation(
+        apps,
+        PolicyAdvisor(RandomPolicy(seed=seed)),
+        device=DeviceModel.homogeneous(n_rus, latency),
+    )
+    b = run_simulation(
+        apps,
+        PolicyAdvisor(RandomPolicy(seed=seed)),
+        device=DeviceModel.homogeneous(n_rus, latency),
+    )
     assert a.trace.executions == b.trace.executions
     assert a.trace.reconfigs == b.trace.reconfigs
 
@@ -221,14 +242,15 @@ def test_skip_events_preserve_validity(data):
     seen = {}
     for g in apps:
         seen.setdefault(g.name, g)
-    mobility = MobilityCalculator(n_rus, latency).compute_tables(list(seen.values()))
-    result = simulate(
+    mobility = MobilityCalculator(
+        device=DeviceModel.homogeneous(n_rus, latency)
+    ).compute_tables(list(seen.values()))
+    result = run_simulation(
         apps,
-        n_rus,
-        latency,
         PolicyAdvisor(LocalLFDPolicy(), skip_events=True),
         ManagerSemantics(lookahead_apps=1),
         mobility_tables=mobility,
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
     validate_trace(result.trace, apps)
 
@@ -252,12 +274,15 @@ def test_skip_count_bounded_by_mobility(data):
     seen = {}
     for g in apps:
         seen.setdefault(g.name, g)
-    mobility = MobilityCalculator(n_rus, latency).compute_tables(list(seen.values()))
-    skip = simulate(
-        apps, n_rus, latency,
+    mobility = MobilityCalculator(
+        device=DeviceModel.homogeneous(n_rus, latency)
+    ).compute_tables(list(seen.values()))
+    skip = run_simulation(
+        apps,
         PolicyAdvisor(LocalLFDPolicy(), skip_events=True),
         ManagerSemantics(lookahead_apps=1),
         mobility_tables=mobility,
+        device=DeviceModel.homogeneous(n_rus, latency),
     )
     validate_trace(skip.trace, apps)
     skips_per_app = {}

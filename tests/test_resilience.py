@@ -27,6 +27,7 @@ from repro.cli import build_parser
 from repro.client import RemoteJobError, ReproClient
 from repro.core.policy_spec import lru_spec, named_policy_spec
 from repro.exceptions import ExperimentError, ReproError, SimulationError
+from repro.hw.model import DeviceModel
 from repro.resilience import (
     CheckpointError,
     CrashSink,
@@ -234,8 +235,7 @@ class _BoomSink(TraceSink):
 def _simulate(workload, **kwargs):
     return run_simulation(
         workload.apps,
-        n_rus=workload.n_rus,
-        reconfig_latency=workload.reconfig_latency,
+        device=workload.device,
         advisor=named_policy_spec("lru").make_advisor(),
         **kwargs,
     )
@@ -263,7 +263,7 @@ class TestCheckpointResume:
     def test_interrupt_then_resume_is_trace_identical(self, golden, tmp_path):
         workload, blob, makespan = golden
         store = ArtifactStore(tmp_path / "ckpt")
-        key = run_checkpoint_key("unit", "lru", workload.n_rus)
+        key = run_checkpoint_key("unit", "lru", workload.device)
         _BoomSink.armed = True
         try:
             with pytest.raises(_Interrupt):
@@ -293,12 +293,57 @@ class TestCheckpointResume:
     def test_uninterrupted_checkpointed_run_matches(self, golden, tmp_path):
         workload, blob, _ = golden
         store = ArtifactStore(tmp_path / "ckpt")
-        key = run_checkpoint_key("unit2", "lru", workload.n_rus)
+        key = run_checkpoint_key("unit2", "lru", workload.device)
         result = _simulate(
             workload, checkpoint_every=8, checkpoint_store=store, checkpoint_key=key
         )
         assert _trace_blob(result.trace) == blob
         assert not store.exists("checkpoint", key)
+
+    def test_checkpoint_from_other_hardware_is_not_resumed(self, tmp_path):
+        """Same key, same workload, different latency: the device
+        fingerprint rejects the snapshot and the run starts fresh."""
+        workload = quick_workload(length=30)
+        slow = DeviceModel.homogeneous(4, 4000)
+        fast = DeviceModel.homogeneous(4, 2000)
+        assert run_checkpoint_key("c", "lru", slow) != run_checkpoint_key(
+            "c", "lru", fast
+        )
+
+        def run(device, **kwargs):
+            return run_simulation(
+                workload.apps,
+                named_policy_spec("lru").make_advisor(),
+                trace="aggregate",
+                extra_sinks=[_BoomSink(200)],
+                device=device,
+                **kwargs,
+            )
+
+        _BoomSink.armed = False
+        fresh = run(fast)
+        store = ArtifactStore(tmp_path / "ckpt")
+        _BoomSink.armed = True
+        try:
+            with pytest.raises(_Interrupt):
+                run(
+                    slow,
+                    checkpoint_every=50,
+                    checkpoint_store=store,
+                    checkpoint_key="K",
+                )
+            _BoomSink.armed = False
+            payload = store.load("checkpoint", "K", decode_checkpoint)
+            with pytest.raises(CheckpointError, match="workload/device"):
+                run(fast, resume_from=payload)
+            resumed = run(
+                fast, checkpoint_every=50, checkpoint_store=store, checkpoint_key="K"
+            )
+        finally:
+            _BoomSink.armed = True
+        assert resumed.makespan_us == fresh.makespan_us == 2_194_000
+        assert resumed.trace.summary() == fresh.trace.summary()
+        assert not store.exists("checkpoint", "K")
 
     def test_mismatched_checkpoint_evicted_as_miss(self, golden, tmp_path):
         """A checkpoint from a *different* workload under the same key is
@@ -306,7 +351,7 @@ class TestCheckpointResume:
         workload, blob, _ = golden
         other = quick_workload(length=8)
         store = ArtifactStore(tmp_path / "ckpt")
-        key = run_checkpoint_key("shared", "lru", workload.n_rus)
+        key = run_checkpoint_key("shared", "lru", workload.device)
         _BoomSink.armed = True
         try:
             with pytest.raises(_Interrupt):
@@ -329,7 +374,7 @@ class TestCheckpointResume:
     def test_version_mismatch_raises_on_explicit_resume(self, golden, tmp_path):
         workload, _, _ = golden
         store = ArtifactStore(tmp_path / "ckpt")
-        key = run_checkpoint_key("ver", "lru", workload.n_rus)
+        key = run_checkpoint_key("ver", "lru", workload.device)
         _BoomSink.armed = True
         try:
             with pytest.raises(_Interrupt):
@@ -346,6 +391,33 @@ class TestCheckpointResume:
         payload["version"] = 999
         with pytest.raises(CheckpointError, match="version"):
             _simulate(workload, resume_from=payload, extra_sinks=[_BoomSink(40)])
+
+    def test_full_trace_checkpoint_restores_strictly(self, golden, tmp_path):
+        """A full-trace snapshot that already holds trace records restores
+        under strict ``resume_from`` (frozen slotted records unpickle) and
+        finishes event-identical to the uninterrupted run."""
+        workload, blob, makespan = golden
+        store = ArtifactStore(tmp_path / "ckpt")
+        _BoomSink.armed = True
+        try:
+            with pytest.raises(_Interrupt):
+                _simulate(
+                    workload,
+                    checkpoint_every=16,
+                    checkpoint_store=store,
+                    checkpoint_key="F",
+                    extra_sinks=[_BoomSink(60)],
+                )
+            payload = store.load("checkpoint", "F", decode_checkpoint)
+            assert payload["events_done"] > 0
+            _BoomSink.armed = False
+            resumed = _simulate(
+                workload, resume_from=payload, extra_sinks=[_BoomSink(60)]
+            )
+        finally:
+            _BoomSink.armed = True
+        assert _trace_blob(resumed.trace) == blob
+        assert resumed.makespan_us == makespan
 
     def test_checkpoint_every_requires_store_and_key(self, golden):
         workload, _, _ = golden
@@ -364,7 +436,7 @@ class TestCheckpointResume:
     def test_random_interrupt_resumes_to_golden(self, golden, tmp_path, boom, every):
         workload, blob, _ = golden
         store = ArtifactStore(tmp_path / "ckpt")
-        key = run_checkpoint_key("hyp", "lru", workload.n_rus)
+        key = run_checkpoint_key("hyp", "lru", workload.device)
         _BoomSink.armed = True
         try:
             try:

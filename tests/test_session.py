@@ -1,16 +1,14 @@
-"""Tests for the declarative experiment API (Device/PolicySpec/Session).
+"""Tests for the declarative experiment API (DeviceModel/PolicySpec/Session).
 
 Covers the PR-1 acceptance criteria: sweep results equal the seed-style
-sequential ``simulate()`` loop cell-for-cell, ``parallel=2`` equals
-``parallel=1``, design-time artifact cache hits are observable, and the
-``simulate()`` deprecation shim keeps working.
+sequential ``run_simulation()`` loop cell-for-cell, ``parallel=2`` equals
+``parallel=1``, and design-time artifact cache hits are observable.
 """
 
 import os
 
 import pytest
 
-from repro.core.device import Device, PAPER_DEVICE
 from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import (
     PolicySpec,
@@ -31,13 +29,15 @@ from repro.session import (
     SweepCell,
     workload_content_key,
 )
-from repro.sim.simulator import ideal_makespan, run_simulation, simulate
+from repro.sim.simulator import ideal_makespan, run_simulation
 from repro.workloads.scenarios import (
     make_scenario,
     paper_evaluation_workload,
     quick_workload,
     scenario_info,
 )
+from repro.hw.latency import FixedLatency
+from repro.hw.model import PAPER_DEVICE_MODEL, DeviceModel
 
 RU_SUBSET = (4, 6)
 
@@ -49,30 +49,31 @@ def workload():
 
 @pytest.fixture(scope="module")
 def session(workload):
-    return Session(Device(4), workload)
+    return Session(DeviceModel.homogeneous(4), workload)
 
 
 class TestDevice:
     def test_validation(self):
         with pytest.raises(DeviceError):
-            Device(0)
+            DeviceModel.homogeneous(0)
         with pytest.raises(DeviceError):
-            Device(4, reconfig_latency=-1)
+            DeviceModel.homogeneous(4, reconfig_latency=-1)
 
     def test_with_rus_and_sweep(self):
-        assert Device(4).with_rus(8).n_rus == 8
-        assert [d.n_rus for d in Device(4).sweep((4, 6))] == [4, 6]
-        assert Device(4).with_latency(9).reconfig_latency == 9
+        assert DeviceModel.homogeneous(4).with_n_rus(8).n_rus == 8
+        assert [d.n_rus for d in DeviceModel.homogeneous(4).sweep((4, 6))] == [4, 6]
+        relatencied = DeviceModel.homogeneous(4).with_latency_model(FixedLatency(9))
+        assert relatencied.reconfig_latency == 9
 
     def test_from_workload(self, workload):
-        device = Device.from_workload(workload)
+        device = workload.device
         assert device.n_rus == workload.n_rus
         assert device.reconfig_latency == workload.reconfig_latency
 
     def test_paper_device(self):
-        assert PAPER_DEVICE.n_rus == 4
-        assert PAPER_DEVICE.reconfig_latency == 4000
-        assert "paper" in PAPER_DEVICE.label
+        assert PAPER_DEVICE_MODEL.n_rus == 4
+        assert PAPER_DEVICE_MODEL.reconfig_latency == 4000
+        assert "paper" in PAPER_DEVICE_MODEL.label
 
 
 class TestPolicySpec:
@@ -100,19 +101,18 @@ class TestPolicySpec:
 class TestSessionRun:
     def test_run_matches_seed_style_simulate(self, workload):
         """Session.run == the seed code's hand-wired simulate() call."""
-        session = Session(Device(4), workload)
+        session = Session(DeviceModel.homogeneous(4), workload)
         spec = local_lfd_spec(1, skip_events=True)
 
         mobility = MobilityCalculator(
-            n_rus=4, reconfig_latency=workload.reconfig_latency
+            device=DeviceModel.homogeneous(4, workload.reconfig_latency),
         ).compute_tables(workload.distinct_graphs())
         expected = run_simulation(
             list(workload.apps),
-            n_rus=4,
-            reconfig_latency=workload.reconfig_latency,
             advisor=spec.make_advisor(),
             semantics=spec.make_semantics(),
             mobility_tables=mobility,
+            device=DeviceModel.homogeneous(4, workload.reconfig_latency),
         )
         got = session.run(spec)
         assert got.makespan_us == expected.makespan_us
@@ -120,16 +120,16 @@ class TestSessionRun:
         assert got.trace.n_skips == expected.trace.n_skips
 
     def test_scenario_name_workload(self):
-        session = Session(Device(4), "quick", length=10)
+        session = Session(DeviceModel.homogeneous(4), "quick", length=10)
         assert session.workload.n_apps == 10
 
     def test_scenario_kwargs_rejected_for_workload_object(self, workload):
         with pytest.raises(ExperimentError):
-            Session(Device(4), workload, length=10)
+            Session(DeviceModel.homogeneous(4), workload, length=10)
 
     def test_requires_workload(self):
         with pytest.raises(ExperimentError):
-            Session(Device(4))
+            Session(DeviceModel.homogeneous(4))
 
     def test_device_defaults_from_workload(self, workload):
         assert Session(workload=workload).device.n_rus == workload.n_rus
@@ -143,19 +143,20 @@ class TestSweep:
 
         expected_records = []
         for n_rus in RU_SUBSET:
-            ideal = ideal_makespan(list(workload.apps), n_rus)
+            ideal = ideal_makespan(
+                list(workload.apps), device=DeviceModel.homogeneous(n_rus)
+            )
             mobility = MobilityCalculator(
-                n_rus=n_rus, reconfig_latency=workload.reconfig_latency
+                device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
             ).compute_tables(workload.distinct_graphs())
             for spec in specs:
                 result = run_simulation(
                     list(workload.apps),
-                    n_rus=n_rus,
-                    reconfig_latency=workload.reconfig_latency,
                     advisor=spec.make_advisor(),
                     semantics=spec.make_semantics(),
                     mobility_tables=mobility if spec.skip_events else None,
                     ideal_makespan_us=ideal,
+                    device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
                 )
                 expected_records.append(
                     PolicyRunRecord.from_result(spec.label, n_rus, result)
@@ -177,7 +178,7 @@ class TestSweep:
             Session(workload=workload).sweep([])
 
     def test_default_ru_counts_is_device(self, workload):
-        sweep = Session(Device(5), workload).sweep([lru_spec()])
+        sweep = Session(DeviceModel.homogeneous(5), workload).sweep([lru_spec()])
         assert sweep.ru_counts == (5,)
         assert sweep.records[0].n_rus == 5
 
@@ -295,30 +296,6 @@ class TestGrid:
         assert session.cache.ideal_stats.computations == n_graphs
 
 
-class TestSimulateShim:
-    def test_simulate_warns_deprecation(self, workload):
-        with pytest.warns(DeprecationWarning, match="simulate\\(\\) is deprecated"):
-            simulate(
-                list(workload.apps[:5]),
-                n_rus=4,
-                reconfig_latency=workload.reconfig_latency,
-                advisor=lru_spec().make_advisor(),
-            )
-
-    def test_simulate_matches_run_simulation(self, workload):
-        apps = list(workload.apps[:8])
-        kwargs = dict(
-            n_rus=4,
-            reconfig_latency=workload.reconfig_latency,
-            advisor=lru_spec().make_advisor(),
-        )
-        with pytest.warns(DeprecationWarning):
-            shim = simulate(apps, **kwargs)
-        direct = run_simulation(apps, **kwargs)
-        assert shim.makespan_us == direct.makespan_us
-        assert shim.trace.n_reconfigurations == direct.trace.n_reconfigurations
-
-
 class TestScenarioRegistry:
     def test_unknown_kwarg_raises_workload_error_with_parameters(self):
         with pytest.raises(WorkloadError) as excinfo:
@@ -379,10 +356,10 @@ class TestCompiledWorkloadIntegration:
 
     def test_compiled_shared_from_store_across_sessions(self, tmp_path, workload):
         root = tmp_path / "store"
-        with Session(Device(4), workload, store=str(root)) as cold:
+        with Session(DeviceModel.homogeneous(4), workload, store=str(root)) as cold:
             cold.run(lru_spec())
             assert cold.cache.compiled_stats.computations == 1
-        with Session(Device(4), workload, store=str(root)) as warm:
+        with Session(DeviceModel.homogeneous(4), workload, store=str(root)) as warm:
             warm.run(lru_spec())
             stats = warm.cache.compiled_stats
             assert stats.disk_hits == 1
@@ -393,10 +370,9 @@ class TestCompiledWorkloadIntegration:
         via_session = session.run(spec)
         direct = run_simulation(
             workload.apps,
-            n_rus=workload.n_rus,
-            reconfig_latency=workload.reconfig_latency,
             advisor=spec.make_advisor(),
             semantics=spec.make_semantics(),
+            device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
         )
         assert via_session.summary() == direct.summary()
 
@@ -421,7 +397,7 @@ class TestCompiledWorkloadIntegration:
         session.close()
 
     def test_close_is_idempotent_and_context_manager(self, workload):
-        with Session(Device(4), workload) as s:
+        with Session(DeviceModel.homogeneous(4), workload) as s:
             s.sweep([lru_spec()], ru_counts=(4, 5), parallel=2)
         s.close()  # second close: no-op
         assert s._pool is None
@@ -429,7 +405,7 @@ class TestCompiledWorkloadIntegration:
     def test_close_concurrent_calls_are_safe(self, workload):
         import threading
 
-        s = Session(Device(4), workload)
+        s = Session(DeviceModel.homogeneous(4), workload)
         s.sweep([lru_spec()], ru_counts=(4, 5), parallel=2)
         errors = []
 
@@ -457,7 +433,7 @@ class TestCompiledWorkloadIntegration:
         import threading
         import time as time_mod
 
-        s = Session(Device(4), workload)
+        s = Session(DeviceModel.homogeneous(4), workload)
         s.compiled()  # pay design time up front so the sweep starts fast
         unexpected = []
 

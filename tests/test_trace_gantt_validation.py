@@ -9,14 +9,17 @@ from repro.graphs.builders import chain_graph
 from repro.graphs.task import ConfigId
 from repro.sim.gantt import render_gantt, render_timeline_events
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
 from repro.sim.trace import ExecRecord, ReconfigRecord, Trace
 from repro.sim.validation import validate_trace
+from repro.hw.model import DeviceModel
 
 
 def run_chain():
     g = chain_graph("G", [ms(10), ms(10)])
-    result = simulate([g, g], 4, ms(4), PolicyAdvisor(LRUPolicy()))
+    result = run_simulation(
+        [g, g], PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(4, ms(4))
+    )
     return g, result.trace
 
 

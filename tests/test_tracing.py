@@ -237,11 +237,10 @@ def test_invalid_trace_mode_raises(workload):
     with pytest.raises(SimulationError, match="invalid trace mode"):
         run_simulation(
             workload.apps,
-            n_rus=4,
-            reconfig_latency=4000,
             advisor=lru_spec().make_advisor(),
             ideal_makespan_us=0,
             trace="FULL",
+            device=DeviceModel.homogeneous(4, 4000),
         )
 
 
@@ -320,8 +319,6 @@ def test_sweep_hook_sink_sees_the_full_trace_event_stream(workload):
     reference = _EventLog()
     run_simulation(
         workload.apps,
-        n_rus=4,
-        reconfig_latency=workload.reconfig_latency,
         advisor=spec.make_advisor(),
         semantics=spec.make_semantics(),
         mobility_tables=session.mobility_tables(4),
@@ -330,6 +327,7 @@ def test_sweep_hook_sink_sees_the_full_trace_event_stream(workload):
         ),
         trace="full",
         extra_sinks=(reference,),
+        device=DeviceModel.homogeneous(4, workload.reconfig_latency),
     )
     assert reference.events
     assert hook.sink.events == reference.events
@@ -390,12 +388,11 @@ def test_sinks_closed_even_when_a_sink_raises(tmp_path, workload):
     with pytest.raises(RuntimeError, match="boom"):
         run_simulation(
             workload.apps,
-            n_rus=4,
-            reconfig_latency=4000,
             advisor=lru_spec().make_advisor(),
             ideal_makespan_us=0,
             trace=str(path),
             extra_sinks=(_Bomb(),),
+            device=DeviceModel.homogeneous(4, 4000),
         )
     # The writer was closed (flushed) despite the abort: the partial
     # stream parses cleanly up to the failure point.

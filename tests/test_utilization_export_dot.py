@@ -17,14 +17,17 @@ from repro.graphs.multimedia import hough_transform
 from repro.metrics.summary import PolicyRunRecord, SweepResult
 from repro.metrics.utilization import app_latency_stats, utilization
 from repro.sim.simtime import ms
-from repro.sim.simulator import simulate
+from repro.sim.simulator import run_simulation
 from repro.sim.trace import Trace
+from repro.hw.model import DeviceModel
 
 
 def run_small():
     g = chain_graph("G", [ms(10), ms(10)])
     apps = [g, g]
-    return apps, simulate(apps, 2, ms(4), PolicyAdvisor(LRUPolicy()))
+    return apps, run_simulation(
+        apps, PolicyAdvisor(LRUPolicy()), device=DeviceModel.homogeneous(2, ms(4))
+    )
 
 
 class TestUtilization:
