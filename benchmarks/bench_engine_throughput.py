@@ -18,17 +18,13 @@ Cases (PR-5 acceptance set):
   recorded ``oracle_scaling_ratio`` (events/s at 2000 apps over 1000)
   must stay near 1.0 now that the oracle view is a lazy slice;
 * ``sweep64_cold_s`` / ``sweep64_warm_s`` — a 64-cell
-  ``Session.sweep(parallel=4, batch_size=16)``, run twice on one
-  session: the second sweep is the full warm-session path — the record
-  memo serves every already-finished cell (deterministic sim, see
-  ``Session(record_reuse=...)``) over a kept-warm executor;
+  ``Session.sweep(parallel=4)``, run twice on one session: the second
+  sweep is the full warm-session path — the session's record memo
+  serves every already-finished cell (deterministic sim) over a
+  kept-warm executor;
 * ``sweep64_warm_exec_s`` — the warm *re-execution* path: records
   forgotten first (``Session.forget_records``), so every cell
-  re-simulates on the warm executor with chunked (``batch_size=16``)
-  submissions amortising per-cell IPC/pickle overhead;
-* ``sweep64_warm_unbatched_s`` — the same forced re-execution at
-  ``batch_size=1`` (the pre-batching submission granularity), so the
-  chunking win is visible in the results;
+  re-simulates on the warm executor, one cell per submission;
 * ``sweep64_sim_s`` — the 64 cells back-to-back on one warm in-process
   :class:`~repro.backends.batch.CellBatchRunner`: pure simulation time,
   zero dispatch.  ``sweep64_setup_overhead_s`` is the per-sweep setup +
@@ -89,9 +85,6 @@ SWEEP_SPECS = [
 SWEEP_RUS = (4, 5, 6, 7, 8, 9, 10, 11)
 SWEEP_PARALLEL = 4
 SWEEP_LENGTH = 120
-#: Cells per worker submission for the headline sweep cases: 64 cells
-#: over 4 workers in 4 chunks (one pickle round-trip per 16 cells).
-SWEEP_BATCH = 16
 
 
 def calibrate(n: int = 200_000) -> float:
@@ -178,14 +171,13 @@ def test_engine_throughput_suite():
     assert ratio > 0.7, f"oracle path scales superlinearly again (ratio {ratio:.2f})"
 
     # 64-cell parallel sweep, twice on one session: the second sweep is
-    # the full warm-session path (record memo + kept-warm executor);
-    # the headline cases run batched (SWEEP_BATCH cells per submission).
+    # the full warm-session path (record memo + kept-warm executor).
     sweep_workload = make_scenario("quick", length=SWEEP_LENGTH)
     with Session(workload=sweep_workload) as sweep_session:
         t0 = time.perf_counter()
         cold = sweep_session.sweep(
             SWEEP_SPECS, ru_counts=SWEEP_RUS, parallel=SWEEP_PARALLEL,
-            trace="aggregate", batch_size=SWEEP_BATCH,
+            trace="aggregate",
         )
         cases["sweep64_cold_s"] = round(time.perf_counter() - t0, 4)
         best_warm = None
@@ -193,7 +185,7 @@ def test_engine_throughput_suite():
             t0 = time.perf_counter()
             warm = sweep_session.sweep(
                 SWEEP_SPECS, ru_counts=SWEEP_RUS, parallel=SWEEP_PARALLEL,
-                trace="aggregate", batch_size=SWEEP_BATCH,
+                trace="aggregate",
             )
             wall = time.perf_counter() - t0
             best_warm = wall if best_warm is None or wall < best_warm else best_warm
@@ -202,31 +194,19 @@ def test_engine_throughput_suite():
         assert len(cold.records) == len(SWEEP_SPECS) * len(SWEEP_RUS) == 64
 
         # Warm *re-execution*: forget the record memo so every cell
-        # re-simulates on the warm executor with chunked submissions.
+        # re-simulates on the warm executor.
         best_exec = None
         for _ in range(2):
             sweep_session.forget_records()
             t0 = time.perf_counter()
             re_exec = sweep_session.sweep(
                 SWEEP_SPECS, ru_counts=SWEEP_RUS, parallel=SWEEP_PARALLEL,
-                trace="aggregate", batch_size=SWEEP_BATCH,
+                trace="aggregate",
             )
             wall = time.perf_counter() - t0
             best_exec = wall if best_exec is None or wall < best_exec else best_exec
             assert re_exec.records == cold.records
         cases["sweep64_warm_exec_s"] = round(best_exec, 4)
-
-        # The pre-batching granularity on the same warm executor, for
-        # the amortisation win (byte-identity is pinned by the test
-        # suite; here it guards the bench comparing like with like).
-        sweep_session.forget_records()
-        t0 = time.perf_counter()
-        unbatched = sweep_session.sweep(
-            SWEEP_SPECS, ru_counts=SWEEP_RUS, parallel=SWEEP_PARALLEL,
-            trace="aggregate", batch_size=1,
-        )
-        cases["sweep64_warm_unbatched_s"] = round(time.perf_counter() - t0, 4)
-        assert unbatched.records == cold.records
 
         # Pure simulation time: the same 64 cells back-to-back on one
         # warm in-process runner (no processes, no pickling), separating
@@ -236,9 +216,7 @@ def test_engine_throughput_suite():
 
         cells = sweep_session._sweep_cells(SWEEP_SPECS, SWEEP_RUS)
         artifacts = sweep_session._execute_plan(build_plan(cells))
-        runner = CellBatchRunner(
-            sweep_workload.apps, sweep_session.compiled(), sweep_session.cache
-        )
+        runner = CellBatchRunner(sweep_workload.apps, sweep_session.compiled())
         best_sim = None
         for _ in range(2):
             t0 = time.perf_counter()

@@ -33,6 +33,7 @@ from repro.exceptions import (
     DuplicateTaskError,
     ExperimentError,
     GraphError,
+    LookaheadWindowError,
     PolicyError,
     ReproError,
     SimulationError,
@@ -145,6 +146,7 @@ __all__ = [
     "DuplicateTaskError",
     "ExperimentError",
     "GraphError",
+    "LookaheadWindowError",
     "PolicyError",
     "ReproError",
     "SimulationError",

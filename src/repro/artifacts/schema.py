@@ -239,7 +239,7 @@ def decode_lease(key: str, entry: Any) -> Dict:
             "worker": str(payload["worker"]),
             "acquired": acquired,
             "ttl_s": ttl_s,
-            # Absolute expiry, recorded at claim/renew time.  Leases from
+            # Absolute expiry, recorded at claim time.  Leases from
             # before the defensive-expiry change carry no ``expires``;
             # deriving it here keeps them reclaimable.
             "expires": float(payload.get("expires", acquired + ttl_s)),

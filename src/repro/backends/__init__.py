@@ -16,6 +16,10 @@ implementations ship:
   shared :class:`~repro.artifacts.store.ArtifactStore`; additional
   ``repro worker --store DIR`` daemons on any host join the same queue.
 
+A cell ships one way: one pool submission or one queue lease per cell,
+executed on the receiving process's warm
+:class:`~repro.backends.batch.CellBatchRunner`.
+
 :func:`~repro.backends.plan.build_plan` expresses a batch as an explicit
 task DAG (compile → mobility/ideal artifacts → cells → reduce) with
 shared design-time nodes deduplicated; every backend executes the same
@@ -27,7 +31,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.backends.base import CellBatch, ExecutorBackend, SweepCell, run_cell
-from repro.backends.batch import CellBatchRunner, resolve_batch_size
+from repro.backends.batch import CellBatchRunner
 from repro.backends.inline import InlineBackend
 from repro.backends.plan import ExperimentPlan, PlanNode, build_plan
 from repro.backends.pool import ProcessPoolBackend
@@ -92,7 +96,6 @@ __all__ = [
     "active_sweeps",
     "build_plan",
     "resolve_backend",
-    "resolve_batch_size",
     "run_cell",
     "run_worker",
 ]

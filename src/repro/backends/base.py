@@ -133,13 +133,8 @@ class CellBatch:
     boundary), remote backends ignore it — mirroring the historical
     ``parallel > 1`` behaviour.
 
-    ``batch_size`` is the in-process batching knob (see
-    :mod:`repro.backends.batch`): distributing backends move cells to
-    worker processes ``batch_size`` at a time — one submission / one
-    queue lease per *chunk* instead of per cell — with each chunk
-    executed back-to-back on a shared :class:`CellBatchRunner`.  Purely
-    an execution-granularity knob: records stay byte-identical to
-    ``batch_size=1`` and per-cell callbacks still fire per cell.
+    Distributing backends ship one cell per pool submission or queue
+    lease.
     """
 
     workload: Workload
@@ -149,7 +144,6 @@ class CellBatch:
     artifacts: List[Tuple[Optional[MobilityTables], int]]
     trace_mode: TraceMode = "full"
     parallel: int = 1
-    batch_size: int = 1
     started: Callable[[int], None] = _noop_started
     finished: Callable[[int, PolicyRunRecord], None] = _noop_finished
     progressed: Callable[[int, int], None] = _noop_progressed
@@ -161,8 +155,11 @@ class CellBatch:
                 f"batch has {len(self.cells)} cells but "
                 f"{len(self.artifacts)} artifact pairs"
             )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+    @property
+    def batch_size(self) -> int:
+        # Cells per submission, always 1; perfbench/tracer.py sizes payloads by it.
+        return 1
 
     @property
     def apps(self):

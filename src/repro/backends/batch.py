@@ -1,53 +1,32 @@
-"""In-process batched cell execution: k cells, one interpreter, one setup.
+"""One warm run context shared by every cell a process executes.
 
-A 64-cell sweep at ``parallel=4`` historically paid 64 task submissions:
-one pickle/IPC round-trip, one future, and one result unpickle *per
-cell*, even though every cell shares the same workload, compiled form
-and design-time artifacts.  For the short cells the paper's grids are
-made of, that per-cell overhead rivals the simulation itself.
-
-:class:`CellBatchRunner` is the shared primitive that fixes it: it owns
-the per-process run context — the application sequence, its
+Every cell of a sweep shares the same workload and compiled form.
+:class:`CellBatchRunner` owns that per-process run context — the
+application sequence and its
 :class:`~repro.workloads.compiled.CompiledWorkload` (compiled at most
-once) and optionally a warm :class:`~repro.artifacts.cache.ArtifactCache`
-— and executes any number of cells against it back-to-back without
-re-importing, re-pickling or re-deriving anything.  Every batched
-execution path funnels through it:
+once) — and executes cells against it without re-importing, re-pickling
+or re-deriving anything:
 
 * :class:`~repro.backends.inline.InlineBackend` runs the whole batch on
   one runner;
-* :class:`~repro.backends.pool.ProcessPoolBackend` submits *chunks* of
-  ``batch_size`` cells, each executed by a runner inside the worker
-  process;
+* :class:`~repro.backends.pool.ProcessPoolBackend` submits one cell per
+  future to a worker process that holds one runner;
 * work-stealing workers (:func:`repro.backends.worker.run_worker`) lease
-  ``batch_size`` cells per queue pull and run them on the sweep's
-  runner.
+  one cell per queue pull and run it on the sweep's runner.
 
-Each cell still executes through :func:`repro.backends.base.run_cell`,
-so batched records are byte-identical to ``batch_size=1`` records —
-asserted across all three backends by ``tests/test_batch_execution.py``.
+Each cell executes through :func:`repro.backends.base.run_cell`, so
+records are byte-identical whichever backend ran them — asserted by the
+cross-backend conformance suite in ``tests/test_backends.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.metrics.summary import PolicyRunRecord
 from repro.sim.manager import MobilityTables
 from repro.sim.tracing import TraceMode, TraceSink
 from repro.workloads.compiled import CompiledWorkload
-
-
-def resolve_batch_size(batch_size: Optional[int], default: int = 1) -> int:
-    """Validate a ``batch_size`` knob (``None`` means ``default``)."""
-    if batch_size is None:
-        return default
-    size = int(batch_size)
-    if size < 1:
-        from repro.exceptions import ExperimentError
-
-        raise ExperimentError(f"batch_size must be >= 1, got {batch_size}")
-    return size
 
 
 class CellBatchRunner:
@@ -59,25 +38,19 @@ class CellBatchRunner:
         The application sequence every cell simulates.
     compiled:
         Its compiled form; compiled here (once) when omitted.
-    cache:
-        Optional warm :class:`~repro.artifacts.cache.ArtifactCache` kept
-        alive with the runner so consecutive batches (e.g. many small
-        server jobs sharing one runner) reuse design-time artifacts.
     """
 
-    __slots__ = ("apps", "compiled", "cache")
+    __slots__ = ("apps", "compiled")
 
     def __init__(
         self,
         apps: Sequence,
         compiled: Optional[CompiledWorkload] = None,
-        cache=None,
     ) -> None:
         self.apps = tuple(apps)
         self.compiled = (
             compiled if compiled is not None else CompiledWorkload.compile(self.apps)
         )
-        self.cache = cache
 
     @classmethod
     def from_batch(cls, batch) -> "CellBatchRunner":
@@ -110,31 +83,12 @@ class CellBatchRunner:
         cells: Sequence,
         artifacts: Sequence[Tuple[Optional[MobilityTables], int]],
         trace: TraceMode = "full",
-        on_record: Optional[Callable[[int, PolicyRunRecord], None]] = None,
-        on_cell_start: Optional[Callable[[int], None]] = None,
     ) -> List[PolicyRunRecord]:
-        """Execute ``cells[i]`` with ``artifacts[i]`` back-to-back.
-
-        ``on_record(i, record)`` fires after each cell (chunk-local
-        index) — queue-based callers publish results as they land rather
-        than after the whole chunk.  ``on_cell_start(i)`` fires *before*
-        each cell — the work-stealing worker renews its outstanding
-        leases there (:class:`repro.resilience.leases.LeaseKeeper`), so a
-        chunk whose total runtime exceeds the lease TTL is no longer
-        falsely reclaimed mid-batch.
-        """
-        records: List[PolicyRunRecord] = []
-        for i, (cell, (mobility, ideal)) in enumerate(zip(cells, artifacts)):
-            if on_cell_start is not None:
-                on_cell_start(i)
-            record = self.run_one(cell, mobility, ideal, trace=trace)
-            if on_record is not None:
-                on_record(i, record)
-            records.append(record)
-        return records
+        """Execute ``cells[i]`` with ``artifacts[i]`` back-to-back."""
+        return [
+            self.run_one(cell, mobility, ideal, trace=trace)
+            for cell, (mobility, ideal) in zip(cells, artifacts)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CellBatchRunner(n_apps={len(self.apps)}, "
-            f"cache={'warm' if self.cache is not None else None})"
-        )
+        return f"CellBatchRunner(n_apps={len(self.apps)})"

@@ -20,10 +20,8 @@ class InlineBackend(ExecutorBackend):
     debugger or profiling a single process.
 
     The whole batch executes on one shared
-    :class:`~repro.backends.batch.CellBatchRunner`, so inline is the
-    degenerate maximal case of the ``batch_size`` knob — every cell
-    already shares one interpreter and one warm context; the knob only
-    changes how *distributing* backends chunk their work.
+    :class:`~repro.backends.batch.CellBatchRunner`: every cell shares one
+    interpreter and one warm context.
     """
 
     name = "inline"

@@ -1,12 +1,12 @@
 """The in-host process-pool backend (the historical ``parallel=N`` path).
 
-One :class:`ProcessPoolBackend` owns a reusable
-:class:`~concurrent.futures.ProcessPoolExecutor`: consecutive batches
-over the same workload content and worker count keep the warm pool (the
-compiled workload ships once per worker through the initializer, not
-once per sweep), and a failed batch drops the pool so the next batch
-transparently rebuilds it from scratch — a crashed worker must never
-poison a later sweep.
+Each cell is one pool submission.  One :class:`ProcessPoolBackend`
+owns a reusable :class:`~concurrent.futures.ProcessPoolExecutor`:
+consecutive batches over the same workload content and worker count
+keep the warm pool (the compiled workload ships once per worker through
+the initializer, not once per sweep), and a failed batch drops the pool
+so the next batch transparently rebuilds it from scratch — a crashed
+worker must never poison a later sweep.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from repro.backends.base import CellBatch, ExecutorBackend, SweepCell
 from repro.backends.batch import CellBatchRunner
 from repro.exceptions import ExperimentError
 from repro.metrics.summary import PolicyRunRecord
+from repro.sim.manager import MobilityTables
+from repro.sim.tracing import TraceMode
 from repro.workloads.compiled import CompiledWorkload
 
 
 # ----------------------------------------------------------------------
 # Worker-process side (module level so it pickles under spawn too)
 # ----------------------------------------------------------------------
-_WORKER_APPS: Tuple = ()
-_WORKER_COMPILED: Optional[CompiledWorkload] = None
+_WORKER_RUNNER: Optional[CellBatchRunner] = None
 
 
 def _init_worker(apps: Tuple, compiled: Optional[CompiledWorkload] = None) -> None:
@@ -41,25 +42,18 @@ def _init_worker(apps: Tuple, compiled: Optional[CompiledWorkload] = None) -> No
     submitted cell) means each worker deserialises it exactly once, and
     no cell pays compilation.
     """
-    global _WORKER_APPS, _WORKER_COMPILED
-    _WORKER_APPS = apps
-    _WORKER_COMPILED = compiled if compiled is not None else CompiledWorkload.compile(apps)
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = CellBatchRunner(apps, compiled)
 
 
-def _run_cell_chunk_in_worker(chunk_args: List[Tuple]) -> List[PolicyRunRecord]:
-    """Execute ``batch_size`` cells back-to-back in one worker call.
-
-    ``chunk_args`` is a list of ``(cell, mobility, ideal_us, trace)``
-    tuples; the whole chunk shares the worker's warm apps/compiled
-    context through one
-    :class:`~repro.backends.batch.CellBatchRunner`, so the per-cell
-    submit/pickle/IPC overhead is paid once per chunk.
-    """
-    runner = CellBatchRunner(_WORKER_APPS, _WORKER_COMPILED)
-    records: List[PolicyRunRecord] = []
-    for cell, mobility, ideal_us, trace in chunk_args:
-        records.append(runner.run_one(cell, mobility, ideal_us, trace=trace))
-    return records
+def _run_cell_in_worker(
+    cell: SweepCell,
+    mobility: Optional[MobilityTables],
+    ideal_us: int,
+    trace: TraceMode,
+) -> PolicyRunRecord:
+    """Execute one cell on the worker's warm run context."""
+    return _WORKER_RUNNER.run_one(cell, mobility, ideal_us, trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +130,9 @@ class ProcessPoolBackend(ExecutorBackend):
     # -- execution ------------------------------------------------------
     def run_cells(self, batch: CellBatch) -> List[PolicyRunRecord]:
         n = len(batch.cells)
-        if n <= 1:
-            from repro.backends.inline import InlineBackend
-
-            return InlineBackend().run_cells(batch)
-        k = batch.batch_size
-        n_chunks = (n + k - 1) // k
+        # One cell per submission: the pool is never wider than the batch.
         workers = batch.parallel if batch.parallel > 1 else (self.workers or 1)
-        workers = min(workers, n_chunks) or 1
+        workers = min(workers, n)
         if workers <= 1:
             # A one-worker pool would only add IPC overhead; fall back to
             # the inline semantics (including hook-sink support).
@@ -153,20 +142,15 @@ class ProcessPoolBackend(ExecutorBackend):
         records: List[Optional[PolicyRunRecord]] = [None] * n
         pool = self._get_pool(workers, batch)
         try:
-            # Cells ship to workers in contiguous chunks of ``batch_size``
-            # (one submission, one result unpickle per chunk); per-cell
-            # callbacks still fire per cell, in chunk order.
-            future_to_chunk = {}
-            for start in range(0, n, k):
-                chunk = range(start, min(start + k, n))
-                chunk_args = []
-                for i in chunk:
-                    cell = batch.cells[i]
-                    mobility, ideal = batch.artifacts[i]
-                    batch.started(i)
-                    chunk_args.append((cell, mobility, ideal, batch.trace_mode))
+            future_to_index = {}
+            for i, (cell, (mobility, ideal)) in enumerate(
+                zip(batch.cells, batch.artifacts)
+            ):
+                batch.started(i)
                 try:
-                    future = pool.submit(_run_cell_chunk_in_worker, chunk_args)
+                    future = pool.submit(
+                        _run_cell_in_worker, cell, mobility, ideal, batch.trace_mode
+                    )
                 except RuntimeError as exc:
                     # close() raced this batch and shut the pool down —
                     # surface it as a library error, not an interpreter one.
@@ -174,25 +158,24 @@ class ProcessPoolBackend(ExecutorBackend):
                         f"backend closed while a parallel sweep was in flight "
                         f"({exc})"
                     ) from None
-                future_to_chunk[future] = chunk
+                future_to_index[future] = i
             done_count = 0
-            pending = set(future_to_chunk)
+            pending = set(future_to_index)
             while pending:
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    chunk = future_to_chunk[future]
+                    i = future_to_index[future]
                     try:
-                        chunk_records = future.result()
+                        record = future.result()
                     except CancelledError:
                         raise ExperimentError(
                             "backend closed while a parallel sweep was in "
                             "flight (pending cells cancelled)"
                         ) from None
-                    for i, record in zip(chunk, chunk_records):
-                        records[i] = record
-                        done_count += 1
-                        batch.finished(i, record)
-                        batch.progressed(done_count, n)
+                    records[i] = record
+                    done_count += 1
+                    batch.finished(i, record)
+                    batch.progressed(done_count, n)
         except BaseException:
             # A failed batch may have broken the pool (worker crash) —
             # drop it so the next batch starts from a fresh one.
@@ -211,5 +194,5 @@ __all__ = [
     "ProcessPoolBackend",
     "SweepCell",
     "_init_worker",
-    "_run_cell_chunk_in_worker",
+    "_run_cell_in_worker",
 ]

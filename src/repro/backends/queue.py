@@ -23,11 +23,8 @@ Lease liveness across hosts uses the defensively-recorded absolute
 ``expires`` stamp, *not* ``acquired + ttl_s`` recomputed by the reader:
 the writer's and reader's wall clocks can disagree (NTP slew, container
 drift), so readers additionally grant :data:`SKEW_MARGIN_S` of grace
-before declaring a lease stale.  Renewal never moves ``expires``
-backwards — a wall-clock step on the renewing host must not shorten a
-lease another host is judging (see ``CellQueue.renew``).  Renewal
-*cadence* on the holder's side runs on the monotonic clock
-(:class:`repro.resilience.leases.LeaseKeeper`), immune to wall steps.
+before declaring a lease stale.  A worker leases one cell per claim
+and never renews it, so ``ttl_s`` must exceed the slowest cell.
 ``result``
     One entry per finished cell: the flat record dict (or an error).
     Results are idempotent: should the reclaim race ever run a cell
@@ -68,6 +65,13 @@ from repro.workloads.sequence import Workload
 #: hosts sharing the store directory (NTP slew is typically < 0.5 s;
 #: anything worse is an operational problem no margin should paper over).
 SKEW_MARGIN_S = 2.0
+
+
+def check_lease_ttl(ttl_s: float) -> float:
+    """``ttl_s`` if positive; a lease with TTL <= 0 is stale when written."""
+    if ttl_s <= 0:
+        raise ExperimentError(f"lease_ttl must be > 0 seconds, got {ttl_s}")
+    return float(ttl_s)
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +130,8 @@ class CellQueue:
 
     ``retry`` (a :class:`~repro.resilience.retry.RetryPolicy`) wraps the
     store writes that must not be lost to a transient I/O hiccup (an NFS
-    timeout, a torn-write fault): ``publish``, ``renew``, ``complete``
-    and ``fail`` retry on :class:`ArtifactStoreError`/``OSError`` before
+    timeout, a torn-write fault): ``publish``, ``complete`` and
+    ``fail`` retry on :class:`ArtifactStoreError`/``OSError`` before
     surfacing the failure.  ``faults`` (a
     :class:`~repro.resilience.faults.FaultPlan`) exposes the
     ``queue.claim.lost`` point: a freshly-won claim's lease file vanishes
@@ -180,15 +184,8 @@ class CellQueue:
         workload: Workload,
         tasks: Sequence[Dict],
         trace: str,
-        batch_size: int = 1,
     ) -> None:
-        """Write the manifest and every per-cell task entry.
-
-        ``batch_size`` is the sweep's preferred lease granularity —
-        workers without an explicit override lease that many cells per
-        queue pull (see :meth:`claim_many`).  Stored in the manifest so
-        external ``repro worker`` daemons pick it up too.
-        """
+        """Write the manifest and every per-cell task entry."""
         self._n_cells = len(tasks)
         for payload in tasks:
             self._durable(
@@ -208,7 +205,6 @@ class CellQueue:
                     "n_cells": len(tasks),
                     "workload": workload_to_payload(workload),
                     "trace": trace,
-                    "batch_size": int(batch_size),
                 },
             ),
         )
@@ -239,37 +235,13 @@ class CellQueue:
         """Claim one unfinished, unleased cell; ``None`` when nothing is
         claimable right now (all done, or all leased by live workers).
 
-        Single-cell special case of :meth:`claim_many` (identical scan
-        and RNG consumption: one shuffle per call).
-        """
-        tasks = self.claim_many(worker_id, ttl_s, 1, rng)
-        return tasks[0] if tasks else None
-
-    def claim_many(
-        self,
-        worker_id: str,
-        ttl_s: float,
-        limit: int,
-        rng: Optional[random.Random] = None,
-    ) -> List[Dict]:
-        """Claim up to ``limit`` unfinished, unleased cells in one scan.
-
-        The work-stealing ``batch_size`` primitive: one shuffled pass
-        over the queue leases up to ``limit`` cells (instead of one scan
-        — and one full directory walk — per cell).  Returns the claimed
-        task payloads; empty when nothing is claimable right now (all
-        done, or all leased by live workers).
-
         Stale leases encountered on the way are reclaimed in place.  The
         scan order is shuffled per call so concurrent workers spread over
-        the queue instead of contending cell by cell.  All ``limit``
-        leases are taken up front, so size ``ttl_s`` above the expected
-        duration of a whole *chunk*, not a single cell.
+        the queue instead of contending cell by cell.
         """
         order = list(range(self.n_cells))
         (rng or random).shuffle(order)
         now = time.time()
-        claimed: List[Dict] = []
         for i in order:
             key = self.cell_key(i)
             if self.store.exists("result", key):
@@ -297,7 +269,7 @@ class CellQueue:
                 "queue.claim.lost"
             ):
                 # The claim marker vanishes right after the win — as if
-                # the claimant crashed between claim and first renewal.
+                # the claimant crashed between claim and execution.
                 self.store.remove("lease", key)
             task = self.store.load("task", key, decode_task)
             if task is None:
@@ -305,41 +277,8 @@ class CellQueue:
                 # the lease so the coordinator's republish can take effect.
                 self.store.remove("lease", key)
                 continue
-            claimed.append(task)
-            if len(claimed) >= limit:
-                break
-        return claimed
-
-    def renew(self, index: int, worker_id: str, ttl_s: float) -> None:
-        """Refresh a held lease (long batches heartbeat between cells).
-
-        The new expiry is ``max(previous expires, now + ttl_s)`` — a
-        renewal can only *extend* a lease.  If the renewing host's wall
-        clock stepped backwards (NTP correction) a naive rewrite would
-        shorten the lease and let another host reclaim a cell that is
-        actively executing; the regression test steps the clock back and
-        asserts the expiry held.
-        """
-        key = self.cell_key(index)
-        now = time.time()
-        old = self.store.load("lease", key, decode_lease)
-        expires = now + ttl_s
-        if old is not None and old.get("worker") == worker_id:
-            expires = max(float(old["expires"]), expires)
-        self._durable(
-            self.store.put,
-            "lease",
-            key,
-            encode_lease(
-                key,
-                {
-                    "worker": worker_id,
-                    "acquired": now,
-                    "ttl_s": ttl_s,
-                    "expires": expires,
-                },
-            ),
-        )
+            return task
+        return None
 
     def complete(self, index: int, record: Dict, worker_id: str) -> None:
         key = self.cell_key(index)

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Union
 
 from repro.artifacts.store import ArtifactStore
 from repro.backends.base import CellBatch, ExecutorBackend
-from repro.backends.queue import CellQueue, pack_obj
+from repro.backends.queue import CellQueue, check_lease_ttl, pack_obj
 from repro.backends.worker import run_worker
 from repro.exceptions import ExperimentError
 from repro.metrics.summary import PolicyRunRecord
@@ -65,7 +65,8 @@ class WorkStealingBackend(ExecutorBackend):
         queue and waits for external workers only.
     lease_ttl:
         Seconds before an unfinished claim counts as a crashed worker
-        and is reclaimed; size it above the slowest expected cell.
+        and is reclaimed; must be positive, and should exceed the
+        slowest expected cell.
     poll_s:
         Coordinator/worker polling interval.
     timeout_s:
@@ -89,7 +90,7 @@ class WorkStealingBackend(ExecutorBackend):
     retry:
         Optional :class:`~repro.resilience.retry.RetryPolicy` applied to
         the queue's must-not-be-lost store writes on both the
-        coordinator (publish) and worker (renew/complete/fail) sides.
+        coordinator (publish) and worker (complete/fail) sides.
     """
 
     name = "work-stealing"
@@ -113,7 +114,7 @@ class WorkStealingBackend(ExecutorBackend):
             store = ArtifactStore(store)
         self.store = store
         self.workers = workers
-        self.lease_ttl = float(lease_ttl)
+        self.lease_ttl = check_lease_ttl(lease_ttl)
         self.poll_s = float(poll_s)
         self.timeout_s = timeout_s
         self.max_respawns = (
@@ -181,12 +182,7 @@ class WorkStealingBackend(ExecutorBackend):
         queue = CellQueue(
             self.store, sweep_id, n_cells=n, retry=self.retry, faults=self.faults
         )
-        queue.publish(
-            batch.workload,
-            tasks,
-            str(batch.trace_mode),
-            batch_size=batch.batch_size,
-        )
+        queue.publish(batch.workload, tasks, str(batch.trace_mode))
         if self.on_published is not None:
             self.on_published(queue)
         for i in range(n):

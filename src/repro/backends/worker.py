@@ -3,10 +3,10 @@
 A worker needs exactly one thing: the store directory.  It discovers
 published sweeps through their manifests, reconstructs the workload from
 the manifest payload (compiled form served from the store's ``compiled``
-kind when warm), then pulls cells from the lease queue until the sweep
-drains.  Several workers — any mix of backend-spawned processes and
-``repro worker`` daemons on other hosts sharing the directory — steal
-from the same queue without further coordination.
+kind when warm), then claims, executes and publishes one cell at a time
+until the sweep drains.  Several workers — any mix of backend-spawned
+processes and ``repro worker`` daemons on other hosts sharing the
+directory — steal from the same queue without further coordination.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from repro.backends.batch import CellBatchRunner
 from repro.backends.queue import (
     CellQueue,
     active_sweeps,
+    check_lease_ttl,
     unpack_obj,
     workload_from_payload,
 )
-from repro.resilience.leases import LeaseKeeper
 from repro.workloads.compiled import CompiledWorkload
 
 #: Heartbeat cadence ceiling; the effective cadence is
@@ -93,12 +93,6 @@ class _SweepContext:
         self.queue = queue
         workload = workload_from_payload(meta["workload"])
         self.apps = workload.apps
-        #: The coordinator's preferred lease granularity (cells per pull);
-        #: absent in pre-batching manifests, where it defaults to 1.
-        try:
-            self.batch_size = max(1, int(meta.get("batch_size", 1)))
-        except (TypeError, ValueError):
-            self.batch_size = 1
         content = workload_content_key(workload)
         compiled = None
         stored = store.load("compiled", compiled_key(content), decode_compiled)
@@ -154,7 +148,6 @@ def run_worker(
     max_idle_s: Optional[float] = None,
     once: bool = False,
     seed: Optional[int] = None,
-    batch_size: Optional[int] = None,
     faults=None,
     retry=None,
     heartbeats: bool = True,
@@ -173,18 +166,11 @@ def run_worker(
         or — with ``once=True`` — the first drained scan.
     lease_ttl:
         Seconds a claimed cell may run before other workers treat the
-        lease as stale and reclaim it; with ``batch_size > 1`` every
-        leased cell of a chunk waits for its predecessors, so size it
-        above the slowest *chunk*.
+        lease as stale and reclaim it; must be positive, and should
+        exceed the slowest cell (leases are never renewed).
     seed:
         Seeds the claim-order shuffle (used by the partition property
         tests; irrelevant for correctness).
-    batch_size:
-        Cells leased per queue pull (one shuffled scan claims the whole
-        chunk, executed back-to-back on the sweep's warm context).
-        ``None`` defers to each sweep manifest's published ``batch_size``
-        (default 1), so a ``--batch-size`` on the coordinating sweep
-        reaches external daemons too.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan` — exposes
         ``worker.cell.slow`` and ``worker.cell.sigkill`` here and is
@@ -192,21 +178,15 @@ def run_worker(
         (``store.write.torn``) — the chaos suite's injection surface.
     retry:
         Optional :class:`~repro.resilience.retry.RetryPolicy` applied to
-        the queue's must-not-be-lost store writes (lease renewals,
-        result publication).
+        the queue's must-not-be-lost store writes (result publication).
     heartbeats:
         Publish a liveness beacon (``heartbeat`` artifact) every
         ``min(lease_ttl / 3, HEARTBEAT_EVERY_S)`` seconds; read back with
         :func:`read_heartbeats` (surfaced by the daemon's ``/health``).
 
     Returns counters: ``{"completed": N, "failed": N, "sweeps": N}``.
-
-    Long batches never outlive their leases: a
-    :class:`~repro.resilience.leases.LeaseKeeper` renews the chunk's
-    outstanding leases between cells on a monotonic cadence, so
-    ``batch_size × cell_time > lease_ttl`` no longer causes false
-    reclaims and duplicate execution.
     """
+    check_lease_ttl(lease_ttl)
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
     worker_id = worker_id or default_worker_id()
@@ -258,23 +238,17 @@ def run_worker(
             if ctx is None:
                 continue
             current_sweep = sid
-            chunk = max(1, batch_size if batch_size is not None else ctx.batch_size)
-            keeper = LeaseKeeper(ctx.queue, worker_id, lease_ttl)
             while True:
-                tasks = ctx.queue.claim_many(worker_id, lease_ttl, chunk, rng)
-                if not tasks:
+                task = ctx.queue.claim(worker_id, lease_ttl, rng)
+                if task is None:
                     break
-                keeper.track([task["index"] for task in tasks])
-                for task in tasks:
-                    keeper.tick()
-                    _beat("running")
-                    ctx.execute(task, worker_id, faults=faults)
-                    keeper.done(task["index"])
-                    result = ctx.queue.result(task["index"])
-                    if result is not None and result.get("error"):
-                        stats["failed"] += 1
-                    else:
-                        stats["completed"] += 1
+                _beat("running")
+                ctx.execute(task, worker_id, faults=faults)
+                result = ctx.queue.result(task["index"])
+                if result is not None and result.get("error"):
+                    stats["failed"] += 1
+                else:
+                    stats["completed"] += 1
                 progressed = True
         current_sweep = None
         if sweep_id is not None:

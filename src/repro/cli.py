@@ -208,18 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for fig9*/sweep cells (default: 1 = sequential)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "sweep cells executed per worker submission (sweep/serve/"
-            "fig9*/ablation) or leased per queue pull ('worker'); "
-            "amortises per-cell process overhead, results are byte-"
-            "identical for any K (default: 1)"
-        ),
-    )
-    parser.add_argument(
         "--panel",
         choices=sorted(SWEEP_PANELS),
         default="fig9a",
@@ -603,7 +591,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         ru_counts=tuple(args.rus),
         title=f"sweep — {args.panel} on {session.workload.name!r}",
         parallel=args.jobs,
-        batch_size=args.batch_size,
     )
     print(sweep.render_table(metric, header))
     mob, ideal = session.cache.mobility_stats, session.cache.ideal_stats
@@ -678,7 +665,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         quota_rate=args.quota_rate if args.quota_rate is not None else 100.0,
         quota_burst=args.quota_burst if args.quota_burst is not None else 500,
         backend=args.backend,
-        batch_size=args.batch_size if args.batch_size is not None else 1,
     )
 
     async def _main() -> None:
@@ -725,7 +711,12 @@ def _run_worker(args: argparse.Namespace) -> int:
     (``--once``) or idle for ``--max-idle`` seconds.
     """
     from repro.backends import run_worker
+    from repro.backends.queue import check_lease_ttl
 
+    kwargs = {"once": args.once, "max_idle_s": args.max_idle}
+    if args.ttl is not None:
+        # Checked before the store directory is created.
+        kwargs["lease_ttl"] = check_lease_ttl(args.ttl)
     store = _store_from_args(args, default=True)
     print(
         f"repro worker stealing from {store.root}"
@@ -733,11 +724,6 @@ def _run_worker(args: argparse.Namespace) -> int:
         file=sys.stderr,
         flush=True,
     )
-    kwargs = {"once": args.once, "max_idle_s": args.max_idle}
-    if args.ttl is not None:
-        kwargs["lease_ttl"] = args.ttl
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
     try:
         stats = run_worker(store, args.sweep_id, **kwargs)
     except KeyboardInterrupt:
@@ -932,7 +918,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         ("--cancel", args.cancel or None, ("jobs",)),
         ("--json", args.json or None, ("cache", "submit", "jobs")),
         ("--backend", args.backend, BACKEND_COMMANDS),
-        ("--batch-size", args.batch_size, BACKEND_COMMANDS + ("worker",)),
         ("--sweep-id", args.sweep_id, ("worker",)),
         ("--ttl", args.ttl, ("worker",)),
         ("--max-idle", args.max_idle, ("worker",)),
@@ -976,7 +961,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             parallel=args.jobs,
             store=_store_from_args(args),
             backend=args.backend,
-            batch_size=args.batch_size,
         )
         print(renderer(sweep))
         if args.export_csv:
@@ -1025,7 +1009,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             ablation_mod.render_all_ablations(
                 store=_store_from_args(args),
                 backend=args.backend,
-                batch_size=args.batch_size,
             )
         )
         return 0

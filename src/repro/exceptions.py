@@ -50,6 +50,10 @@ class PolicyError(ReproError):
     """A replacement policy returned an invalid decision."""
 
 
+class LookaheadWindowError(PolicyError, ValueError):
+    """A negative Dynamic-List lookahead window was requested."""
+
+
 class WorkloadError(ReproError):
     """Invalid workload specification (empty sequence, bad weights...)."""
 

@@ -69,15 +69,9 @@ def _session(
     workload: Optional[Workload],
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> Session:
     workload = workload or paper_evaluation_workload(length=200, n_rus=6)
-    return Session(
-        workload=workload,
-        cache=cache,
-        backend=backend,
-        batch_size=batch_size if batch_size is not None else 1,
-    )
+    return Session(workload=workload, cache=cache, backend=backend)
 
 
 def make_ablation_cache(store=None) -> ArtifactCache:
@@ -106,10 +100,9 @@ def run_window_sweep(
     windows: Sequence[int] = (0, 1, 2, 4, 8),
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A1: Local LFD reuse/overhead as the DL window grows."""
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     rows = [
         _row(f"Local LFD ({w})", session.run(_local_lfd(w)), apps) for w in windows
@@ -123,10 +116,9 @@ def run_semantics_ablation(
     workload: Optional[Workload] = None,
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A2: the S1 cross-application-prefetch knob under Local LFD (1)."""
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     return [
         _row(
@@ -142,10 +134,9 @@ def run_skip_mode_ablation(
     workload: Optional[Workload] = None,
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A3: literal Fig. 8 skips vs the prospect refinement."""
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     rows = [_row("no skips (ASAP)", session.run(_local_lfd(1)), apps)]
     for mode in ("literal", "prospect"):
@@ -158,10 +149,9 @@ def run_policy_zoo(
     workload: Optional[Workload] = None,
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A4: every registered policy on the same workload."""
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     zoo = [
         PolicySpec("RANDOM", RandomPolicy, policy_kwargs=(("seed", 7),)),
@@ -182,10 +172,9 @@ def run_latency_sweep(
     latencies_us: Sequence[int] = (1000, 2000, 4000, 8000, 16000),
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A5: Local LFD(1) vs LRU gap as reconfiguration latency grows."""
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     rows = []
     for latency in latencies_us:
@@ -201,7 +190,6 @@ def run_arrival_ablation(
     workload: Optional[Workload] = None,
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A6: dynamic arrivals — how late knowledge degrades Local LFD.
 
@@ -213,7 +201,7 @@ def run_arrival_ablation(
     ideal under each arrival model (idle waiting must not be misread as
     reconfiguration overhead).
     """
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     n = len(apps)
     # Mean service time per application ~ critical path; pace arrivals
@@ -240,7 +228,6 @@ def run_controller_ablation(
     controller_counts: Sequence[int] = (1, 2, 4),
     cache: Optional[ArtifactCache] = None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> List[AblationRow]:
     """A7: parallel reconfiguration controllers (the circuitry bottleneck).
 
@@ -250,7 +237,7 @@ def run_controller_ablation(
     much of the residual overhead is controller *contention* rather than
     raw load latency — the part extra circuitry can buy back.
     """
-    session = _session(workload, cache, backend, batch_size)
+    session = _session(workload, cache, backend)
     apps = session.workload.apps
     rows = []
     for count in controller_counts:
@@ -282,14 +269,13 @@ def render_all_ablations(
     workload: Optional[Workload] = None,
     store=None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> str:
     # Resolve the default workload once and share one artifact cache, so
     # the six studies really do compute each design-time artifact once
     # (once *ever*, when a persistent store is attached).
     workload = workload or paper_evaluation_workload(length=200, n_rus=6)
     cache = make_ablation_cache(store)
-    kw = {"cache": cache, "backend": backend, "batch_size": batch_size}
+    kw = {"cache": cache, "backend": backend}
     sections = [
         render_ablation_rows("A1 — Dynamic-List window sweep", run_window_sweep(workload, **kw)),
         render_ablation_rows("A2 — cross-app prefetch semantics (S1)", run_semantics_ablation(workload, **kw)),

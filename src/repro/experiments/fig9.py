@@ -56,7 +56,6 @@ def run_policy_sweep(
     store=None,
     device=None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> SweepResult:
     """Run every (spec, n_rus) cell on the workload.
 
@@ -70,9 +69,7 @@ def run_policy_sweep(
     selects the sweep execution backend (``"inline"``,
     ``"process-pool"``, ``"work-stealing"`` or an
     :class:`~repro.backends.base.ExecutorBackend` instance; see
-    ``docs/backends.md``); ``batch_size`` sets how many cells each
-    worker executes per submission (byte-identical records for any
-    value — pure wall-clock tuning).
+    ``docs/backends.md``).
     """
     if workload is None:
         workload = paper_evaluation_workload()
@@ -83,13 +80,7 @@ def run_policy_sweep(
         store=store,
         backend=backend,
     )
-    return session.sweep(
-        specs,
-        ru_counts=ru_counts,
-        title=title,
-        parallel=parallel,
-        batch_size=batch_size,
-    )
+    return session.sweep(specs, ru_counts=ru_counts, title=title, parallel=parallel)
 
 
 def run_fig9a(
@@ -98,12 +89,11 @@ def run_fig9a(
     parallel: int = 1,
     store=None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> SweepResult:
     """Fig. 9a: reuse rates, ASAP loading (mobility 0 everywhere)."""
     return run_policy_sweep(
         fig9a_specs(), "Fig. 9a — reuse rate (%)", workload, ru_counts, parallel,
-        store=store, backend=backend, batch_size=batch_size,
+        store=store, backend=backend,
     )
 
 
@@ -113,7 +103,6 @@ def run_fig9b(
     parallel: int = 1,
     store=None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> SweepResult:
     """Fig. 9b: reuse rates with the Skip Event feature."""
     return run_policy_sweep(
@@ -124,7 +113,6 @@ def run_fig9b(
         parallel,
         store=store,
         backend=backend,
-        batch_size=batch_size,
     )
 
 
@@ -134,7 +122,6 @@ def run_fig9c(
     parallel: int = 1,
     store=None,
     backend=None,
-    batch_size: Optional[int] = None,
 ) -> SweepResult:
     """Fig. 9c: remaining reconfiguration overhead (%)."""
     return run_policy_sweep(
@@ -145,7 +132,6 @@ def run_fig9c(
         parallel,
         store=store,
         backend=backend,
-        batch_size=batch_size,
     )
 
 

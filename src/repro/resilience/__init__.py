@@ -13,9 +13,7 @@ never results:
 * :mod:`repro.resilience.checkpoint` — capture/restore of a running
   :class:`~repro.sim.manager.ExecutionManager` through the ``checkpoint``
   artifact kind (``run_simulation(checkpoint_every=)``, ``repro run
-  --checkpoint``);
-* :mod:`repro.resilience.leases` — :class:`LeaseKeeper`, the
-  monotonic-clock lease renewal that keeps long worker batches alive.
+  --checkpoint``).
 
 See docs/resilience.md for the format and semantics reference.
 """
@@ -27,7 +25,6 @@ from repro.resilience.checkpoint import (
     run_checkpoint_key,
 )
 from repro.resilience.faults import CrashSink, FaultError, FaultPlan
-from repro.resilience.leases import LeaseKeeper
 from repro.resilience.retry import RetryPolicy, RetrySchedule
 
 __all__ = [
@@ -35,7 +32,6 @@ __all__ = [
     "CrashSink",
     "FaultError",
     "FaultPlan",
-    "LeaseKeeper",
     "RetryPolicy",
     "RetrySchedule",
     "capture_checkpoint",

@@ -161,11 +161,6 @@ class ReproServer:
         ``"process-pool"`` or ``"work-stealing"``; see
         ``docs/backends.md``).  ``None`` keeps the session default.
         ``"work-stealing"`` requires ``store``.
-    batch_size:
-        Cells per worker submission for every job's sweep (the
-        :class:`~repro.session.Session` ``batch_size``; byte-identical
-        results for any value).  Matters for process-based backends;
-        the default inline backend already shares one warm context.
     """
 
     def __init__(
@@ -181,7 +176,6 @@ class ReproServer:
         retry_base_s: float = 0.5,
         faults=None,
         backend: Optional[str] = None,
-        batch_size: int = 1,
     ) -> None:
         self.host = host
         self.port = port
@@ -196,7 +190,6 @@ class ReproServer:
                 "backend='work-stealing' requires a persistent --store"
             )
         self.backend = backend
-        self.batch_size = max(1, int(batch_size))
         self.workers = max(1, int(workers))
         self.quota_rate = float(quota_rate)
         self.quota_burst = int(quota_burst)
@@ -579,7 +572,6 @@ class ReproServer:
                 cache=self.cache,
                 hooks=(_JobHooks(job),),
                 backend=self.backend,
-                batch_size=self.batch_size,
             )
             if job.spec.kind == "sweep":
                 ru_axis: Tuple[int, ...] = job.spec.rus

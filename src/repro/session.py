@@ -27,7 +27,8 @@ an explicit task DAG (:meth:`Session.plan`, design-time nodes
 deduplicated structurally) and hands the independent cells to a
 pluggable :class:`~repro.backends.base.ExecutorBackend` — inline,
 process-pool, or store-coordinated work-stealing across hosts
-(``Session(backend="work-stealing")`` + ``repro worker``);
+(``Session(backend="work-stealing")`` + ``repro worker``), one cell per
+pool submission or queue lease;
 ``Session.grid`` adds a reconfiguration-latency axis for cartesian
 studies.  Observers can
 subscribe to the run lifecycle through :class:`SessionHooks` — including
@@ -68,7 +69,6 @@ from repro.artifacts.schema import (
 )
 from repro.artifacts.store import ArtifactStore
 from repro.backends.base import CellBatch, ExecutorBackend, SweepCell
-from repro.backends.batch import resolve_batch_size
 from repro.backends.plan import ExperimentPlan, build_plan
 from repro.backends.pool import (
     ProcessPoolBackend,
@@ -501,24 +501,13 @@ class Session:
         (``sweep``/``device_sweep``/``grid``) keep only summary records,
         so they always run on the aggregate sink; a JSONL path is valid
         for a single-cell batch only.
-    batch_size:
-        Default in-process batching granularity for every batch of this
-        session (see :mod:`repro.backends.batch`): distributing backends
-        move ``batch_size`` cells per worker submission / queue lease,
-        each chunk sharing one warm
-        :class:`~repro.backends.batch.CellBatchRunner`.  Purely a
-        throughput knob — records are byte-identical for any value.
-        Individual ``sweep``/``device_sweep``/``grid`` calls may
-        override it.
-    record_reuse:
-        Reuse memoized cell records on warm sweeps (default ``True``).
-        The simulator is deterministic, so a cell this session's cache
-        has already finished — same workload content, policy spec and
-        hardware — is served from memory instead of
-        re-simulated; per-cell hooks still fire, and cells observed by
-        hook trace sinks always re-execute (the sinks need the event
-        stream).  Pass ``False`` to force every sweep to re-simulate,
-        or call :meth:`forget_records` to drop the memo.
+
+    Warm batches reuse memoized cell records: the simulator is
+    deterministic, so a cell this session's cache has already finished —
+    same workload content, policy spec and hardware — is served from
+    memory instead of re-simulated.  Per-cell hooks still fire, and cells
+    observed by hook trace sinks always re-execute (the sinks need the
+    event stream).  :meth:`forget_records` drops the memo.
     """
 
     def __init__(
@@ -531,8 +520,6 @@ class Session:
         store: Union[ArtifactStore, str, Path, None] = None,
         backend: Union[str, ExecutorBackend, None] = None,
         trace: TraceMode = "full",
-        batch_size: int = 1,
-        record_reuse: bool = True,
         **scenario_kwargs,
     ) -> None:
         if workload is None:
@@ -558,8 +545,6 @@ class Session:
         self.cache = cache or ArtifactCache(store=store)
         self.hooks: Tuple[SessionHooks, ...] = tuple(hooks)
         self.trace_mode: TraceMode = trace
-        self.batch_size: int = resolve_batch_size(batch_size)
-        self.record_reuse: bool = bool(record_reuse)
         self._apps: Tuple[TaskGraph, ...] = tuple(workload.apps)
         self._content_key = workload_content_key(workload)
         self._compiled_obj: Optional[CompiledWorkload] = None
@@ -881,7 +866,6 @@ class Session:
         title: str = "sweep",
         parallel: int = 1,
         trace: Optional[TraceMode] = None,
-        batch_size: Optional[int] = None,
     ) -> SweepResult:
         """Run every ``(spec, n_rus)`` cell; returns a :class:`SweepResult`.
 
@@ -892,13 +876,11 @@ class Session:
         into the O(1) aggregate sink (a sweep keeps only its records), so
         ``trace="full"`` is the same as ``"aggregate"``; a JSONL path is
         accepted for a single cell only.
-        ``batch_size`` overrides the session default chunking granularity
-        (cells per worker submission; byte-identical records either way).
         """
         ru_counts = tuple(ru_counts) if ru_counts is not None else (self.device.n_rus,)
         cells = self._sweep_cells(specs, ru_counts)
         sweep = SweepResult(title=title, ru_counts=ru_counts)
-        for record in self._run_cells(cells, parallel, trace, batch_size):
+        for record in self._run_cells(cells, parallel, trace):
             sweep.add(record)
         return sweep
 
@@ -908,7 +890,6 @@ class Session:
         devices: Sequence[DeviceModel],
         parallel: int = 1,
         trace: Optional[TraceMode] = None,
-        batch_size: Optional[int] = None,
     ) -> List["DeviceCellRecord"]:
         """Run every ``(spec, device)`` cell over explicit hardware models.
 
@@ -924,7 +905,7 @@ class Session:
         if not devices:
             raise ExperimentError("device_sweep requires at least one device")
         cells = [SweepCell(spec, device=model) for model in devices for spec in specs]
-        records = self._run_cells(cells, parallel, trace, batch_size)
+        records = self._run_cells(cells, parallel, trace)
         return [
             DeviceCellRecord(
                 spec_label=cell.spec.label,
@@ -942,11 +923,10 @@ class Session:
         reconfig_latencies: Optional[Sequence[int]] = None,
         parallel: int = 1,
         trace: Optional[TraceMode] = None,
-        batch_size: Optional[int] = None,
     ) -> List[GridCellRecord]:
         """Cartesian product over specs x RU counts x latencies."""
         cells = self._grid_cells(specs, ru_counts, reconfig_latencies)
-        records = self._run_cells(cells, parallel, trace, batch_size)
+        records = self._run_cells(cells, parallel, trace)
         return [
             GridCellRecord(
                 spec_label=cell.spec.label,
@@ -1053,7 +1033,6 @@ class Session:
         cells: List[SweepCell],
         parallel: int,
         trace: Optional[TraceMode] = None,
-        batch_size: Optional[int] = None,
     ) -> List[PolicyRunRecord]:
         if parallel < 1:
             raise ExperimentError(f"parallel must be >= 1, got {parallel}")
@@ -1065,7 +1044,7 @@ class Session:
         # from memory.  A JSONL trace path is side-effecting (it writes a
         # file), so only aggregate batches are memoizable; cells a hook
         # wants to observe through trace sinks re-execute.
-        reusable = self.record_reuse and trace_mode == "aggregate"
+        reusable = trace_mode == "aggregate"
         # trace_sinks is called exactly once per cell per sweep (hooks may
         # allocate a sink per call), and a sinked cell always re-executes.
         cell_sinks: List[Tuple[TraceSink, ...]] = [
@@ -1110,7 +1089,6 @@ class Session:
             artifacts=artifacts,
             trace_mode=trace_mode,
             parallel=parallel,
-            batch_size=resolve_batch_size(batch_size, self.batch_size),
             started=lambda j: self._emit("on_run_start", sub_cells[j]),
             finished=lambda j, record: self._emit(
                 "on_run_end", sub_cells[j], record

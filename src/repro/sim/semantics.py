@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from repro.exceptions import LookaheadWindowError
+
 
 class CrossAppPrefetch(Enum):
     """S1 — may reconfigurations start for not-yet-current applications?
@@ -68,7 +70,7 @@ class ManagerSemantics:
 
     def __post_init__(self) -> None:
         if self.lookahead_apps < 0:
-            raise ValueError(
+            raise LookaheadWindowError(
                 f"lookahead_apps must be >= 0, got {self.lookahead_apps}"
             )
 

@@ -1,30 +1,28 @@
-"""In-process batched sweep execution: byte-identity for any batch size.
+"""Batched sweep execution: one cell per submission, warm records.
 
-The ``batch_size`` knob is pure wall-clock tuning — one worker
-submission (or queue lease) covers ``k`` cells sharing one
-:class:`~repro.backends.batch.CellBatchRunner` — and must never change a
-record.  This suite pins that:
+A distributing backend ships exactly one cell per pool submission or
+queue lease, each run on a warm
+:class:`~repro.backends.batch.CellBatchRunner`.  This suite pins that:
 
 * every backend (inline / process-pool / work-stealing) produces records
-  byte-identical to the serial ``batch_size=1`` reference for any ``k``
-  (including ``k`` > number of cells, and hypothesis-drawn ``k``);
-* the per-cell callbacks still fire per cell, in order, under chunking;
-* ``batch_size`` resolution and validation (Session, CellBatch, CLI
-  plumbing) reject nonsense and default to 1;
-* the work-stealing manifest carries the coordinator's ``batch_size``
-  down to external workers, and ``claim_many`` leases whole chunks.
+  byte-identical to the serial reference for any batch length,
+  including batches with more cells than workers;
+* the per-cell callbacks fire once per cell, in order;
+* ``CellBatch.batch_size`` is a read-only 1 and the removed
+  ``batch_size`` knob is rejected loudly;
+* a current worker serves a manifest written by an older coordinator
+  that still carried a ``batch_size`` entry;
+* warm sessions serve memoized records instead of re-simulating.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
+from repro.artifacts.schema import encode_sweep_meta
 from repro.artifacts.store import ArtifactStore
 from repro.backends import (
     BACKEND_NAMES,
@@ -33,13 +31,13 @@ from repro.backends import (
     InlineBackend,
     ProcessPoolBackend,
     WorkStealingBackend,
-    resolve_batch_size,
     run_worker,
 )
 from repro.backends.base import CellBatch
 from repro.core.policy_spec import local_lfd_spec, lru_spec
 from repro.exceptions import ExperimentError
 from repro.hw import DeviceModel
+from repro.metrics.summary import PolicyRunRecord
 from repro.session import Session, SessionHooks
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.scenarios import quick_workload
@@ -59,7 +57,7 @@ def _record_blobs(records):
 
 @pytest.fixture(scope="module")
 def serial_baseline(workload):
-    """batch_size=1, parallel=1, inline: the reference byte stream."""
+    """parallel=1, inline: the reference byte stream."""
     sweep = Session(workload=workload).sweep(SPECS, ru_counts=RU_SUBSET)
     return _record_blobs(sweep.records)
 
@@ -80,46 +78,28 @@ def _make_backend(name, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Byte-identity across backends and batch sizes
+# Byte-identity across backends and batch lengths
 # ----------------------------------------------------------------------
+def _latencies(n_cells):
+    """A one-spec, one-RU-count grid axis with ``n_cells`` cells."""
+    return tuple(1000 * (k + 1) for k in range(n_cells))
+
+
 @pytest.mark.parametrize("name", BACKEND_NAMES)
-@pytest.mark.parametrize("batch_size", [2, 3, 64])
-def test_batched_records_byte_identical(
-    name, batch_size, tmp_path, workload, serial_baseline
-):
+@pytest.mark.parametrize("n_cells", [2, 3, 64])
+def test_batched_records_byte_identical(name, n_cells, tmp_path, workload):
+    """One cell per submission, whatever the batch length: fewer cells
+    than workers (the pool shrinks to fit) and many more than workers."""
+    axes = dict(ru_counts=(4,), reconfig_latencies=_latencies(n_cells))
+    reference = Session(workload=workload).grid([lru_spec()], **axes)
     with _make_backend(name, tmp_path) as backend:
-        sweep = Session(workload=workload, backend=backend).sweep(
-            SPECS, ru_counts=RU_SUBSET, parallel=2, batch_size=batch_size
+        records = Session(workload=workload, backend=backend).grid(
+            [lru_spec()], parallel=3, **axes
         )
-    assert _record_blobs(sweep.records) == serial_baseline
-
-
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(batch_size=st.integers(min_value=1, max_value=16))
-def test_property_pool_batch_size_is_behaviour_free(
-    batch_size, workload, serial_baseline
-):
-    """Hypothesis: any k against the reusable pool backend."""
-    with ProcessPoolBackend(workers=2) as backend:
-        sweep = Session(workload=workload, backend=backend).sweep(
-            SPECS, ru_counts=RU_SUBSET, parallel=2, batch_size=batch_size
-        )
-    assert _record_blobs(sweep.records) == serial_baseline
-
-
-def test_session_default_batch_size_applies(workload, serial_baseline):
-    """A Session-level batch_size is the sweep default; per-call overrides."""
-    session = Session(workload=workload, backend=ProcessPoolBackend(workers=2),
-                      batch_size=3)
-    assert session.batch_size == 3
-    sweep = session.sweep(SPECS, ru_counts=RU_SUBSET, parallel=2)
-    assert _record_blobs(sweep.records) == serial_baseline
-    override = session.sweep(SPECS, ru_counts=RU_SUBSET, parallel=2, batch_size=1)
-    assert _record_blobs(override.records) == serial_baseline
+    assert len(records) == n_cells
+    assert _record_blobs(r.record for r in records) == _record_blobs(
+        r.record for r in reference
+    )
 
 
 class _CallbackLog(SessionHooks):
@@ -143,7 +123,7 @@ def test_callbacks_fire_per_cell_under_chunking(name, tmp_path, workload):
     hooks = _CallbackLog()
     with _make_backend(name, tmp_path) as backend:
         sweep = Session(workload=workload, backend=backend, hooks=(hooks,)).sweep(
-            SPECS, ru_counts=RU_SUBSET, parallel=2, batch_size=3
+            SPECS, ru_counts=RU_SUBSET, parallel=2
         )
     n = len(sweep.records)
     assert len(hooks.started) == n
@@ -153,36 +133,28 @@ def test_callbacks_fire_per_cell_under_chunking(name, tmp_path, workload):
 
 
 # ----------------------------------------------------------------------
-# Resolution and validation
+# The removed batch_size knob
 # ----------------------------------------------------------------------
-def test_resolve_batch_size():
-    assert resolve_batch_size(None) == 1
-    assert resolve_batch_size(None, default=4) == 4
-    assert resolve_batch_size(7, default=4) == 7
-    with pytest.raises(ExperimentError):
-        resolve_batch_size(0)
-    with pytest.raises(ExperimentError):
-        resolve_batch_size(-3)
-
-
 def test_cell_batch_rejects_bad_batch_size(workload):
+    """``CellBatch.batch_size`` is always 1 and cannot be set."""
     compiled = CompiledWorkload.compile(workload.apps)
-    with pytest.raises(ValueError):
-        CellBatch(
-            workload=workload,
-            content_key="k",
-            compiled=compiled,
-            cells=[],
-            artifacts=[],
-            batch_size=0,
-        )
+    fields = dict(
+        workload=workload, content_key="k", compiled=compiled, cells=[], artifacts=[]
+    )
+    with pytest.raises(TypeError):
+        CellBatch(batch_size=2, **fields)
+    batch = CellBatch(**fields)
+    assert batch.batch_size == 1
+    with pytest.raises(AttributeError):
+        batch.batch_size = 2
 
 
 def test_session_rejects_bad_batch_size(workload):
+    """Old callers passing ``batch_size`` fail loudly, never silently."""
     with pytest.raises(ExperimentError):
         Session(workload=workload, batch_size=0)
     session = Session(workload=workload)
-    with pytest.raises(ExperimentError):
+    with pytest.raises(TypeError):
         session.sweep(SPECS, ru_counts=(4,), batch_size=-1)
 
 
@@ -196,11 +168,7 @@ def test_runner_reuses_compiled_and_cache(workload):
     artifacts = session._execute_plan(
         __import__("repro.backends.plan", fromlist=["build_plan"]).build_plan(cells)
     )
-    seen = []
-    records = runner.run_chunk(
-        cells, artifacts, "full", on_record=lambda i, r: seen.append(i)
-    )
-    assert seen == list(range(len(cells)))
+    records = runner.run_chunk(cells, artifacts, "full")
     reference = session.sweep(SPECS, ru_counts=RU_SUBSET).records
     assert _record_blobs(records) == _record_blobs(reference)
 
@@ -261,14 +229,6 @@ def test_partial_overlap_only_runs_new_cells(workload):
     assert _record_blobs(grown.records) == _record_blobs(baseline.records)
 
 
-def test_record_reuse_off_re_executes(workload):
-    backend = _CountingBackend()
-    session = Session(workload=workload, backend=backend, record_reuse=False)
-    for _ in range(2):
-        session.sweep(SPECS, ru_counts=RU_SUBSET)
-    assert backend.cells_run == 2 * len(SPECS) * len(RU_SUBSET)
-
-
 def test_forget_records_forces_resimulation(workload):
     backend = _CountingBackend()
     session = Session(workload=workload, backend=backend)
@@ -318,78 +278,19 @@ def test_hook_trace_sinks_bypass_record_memo(workload):
 
 
 # ----------------------------------------------------------------------
+# Work-stealing plumbing: manifests from older coordinators
 # Work-stealing plumbing: manifest batch_size, chunked leases
 # ----------------------------------------------------------------------
-def test_manifest_carries_batch_size(workload, tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    captured = {}
-
-    def grab(queue):
-        captured["meta"] = queue.meta()
-
-    backend = WorkStealingBackend(
-        store, workers=1, poll_s=0.02, timeout_s=300, on_published=grab
-    )
-    with backend:
-        Session(workload=workload, backend=backend).sweep(
-            [lru_spec()], ru_counts=(4,), batch_size=5
-        )
-    assert captured["meta"]["batch_size"] == 5
-
-
-def test_old_manifest_without_batch_size_defaults_to_one(workload, tmp_path):
-    """Workers tolerate pre-batching manifests (missing key -> 1)."""
-    from repro.backends.worker import _SweepContext
-    from repro.backends.queue import workload_to_payload
-
-    store = ArtifactStore(tmp_path / "store")
-    queue = CellQueue(store, "sweep-x", n_cells=0)
-    meta = {"n_cells": 0, "workload": workload_to_payload(workload)}
-    ctx = _SweepContext(store, queue, meta)
-    assert ctx.batch_size == 1
-    ctx_bad = _SweepContext(
-        store, queue, dict(meta, batch_size="nonsense")
-    )
-    assert ctx_bad.batch_size == 1
-
-
-def test_claim_many_leases_whole_chunks(workload, tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    published = {}
-
-    def hold(queue):
-        published["queue"] = queue
-        # Lease a whole chunk before any worker runs: all three cells
-        # leave the claimable pool in one scan.
-        tasks = queue.claim_many("probe", ttl_s=60.0, limit=3,
-                                 rng=random.Random(0))
-        published["leased"] = sorted(t["index"] for t in tasks)
-        assert queue.claim_many("late", ttl_s=60.0, limit=3,
-                                rng=random.Random(1)) == []
-        # Release so the sweep can finish.
-        for t in tasks:
-            queue.store.remove("lease", queue.cell_key(t["index"]))
-
-    backend = WorkStealingBackend(
-        store, workers=1, poll_s=0.02, timeout_s=300, on_published=hold
-    )
-    with backend:
-        sweep = Session(workload=workload, backend=backend).sweep(
-            [lru_spec()], ru_counts=(4, 5, 6), batch_size=3
-        )
-    assert published["leased"] == [0, 1, 2]
-    assert len(sweep.records) == 3
-
-
-def test_external_worker_honours_manifest_batch_size(workload, tmp_path):
-    """run_worker with batch_size=None chunks by the published manifest."""
-    store = ArtifactStore(tmp_path / "store")
-    session = Session(workload=workload)
-    cells = session._sweep_cells([lru_spec()], (4, 5))
+def test_worker_serves_old_manifest_with_batch_size(workload, tmp_path):
+    """An older coordinator's manifest still carries ``batch_size: 5``;
+    a current worker ignores it and serves the sweep to completion."""
     from repro.backends.plan import build_plan
     from repro.backends.queue import pack_obj
     from repro.backends.stealing import sweep_queue_id
 
+    store = ArtifactStore(tmp_path / "store")
+    session = Session(workload=workload)
+    cells = session._sweep_cells([lru_spec()], (4, 5, 6))
     artifacts = session._execute_plan(build_plan(cells))
     tasks = [
         {
@@ -404,7 +305,14 @@ def test_external_worker_honours_manifest_batch_size(workload, tmp_path):
     ]
     sweep_id = sweep_queue_id("content", len(tasks), nonce="t")
     queue = CellQueue(store, sweep_id, n_cells=len(tasks))
-    queue.publish(session.workload, tasks, "full", batch_size=2)
+    queue.publish(session.workload, tasks, "full")
+    meta = dict(queue.meta(), batch_size=5)
+    store.put("sweep", sweep_id, encode_sweep_meta(sweep_id, meta))
+    assert queue.meta()["batch_size"] == 5
     stats = run_worker(store, sweep_id, worker_id="w0", once=True, seed=0)
-    assert stats == {"completed": 2, "failed": 0, "sweeps": 1}
+    assert stats == {"completed": 3, "failed": 0, "sweeps": 1}
     assert queue.finished()
+    served = [PolicyRunRecord(**queue.result(i)["record"]) for i in range(3)]
+    assert _record_blobs(served) == _record_blobs(session.sweep(
+        [lru_spec()], ru_counts=(4, 5, 6)
+    ).records)

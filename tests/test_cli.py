@@ -200,6 +200,15 @@ class TestBadValues:
                  "--length", "10", "--rus", "0"],
                 "n_rus must be >= 1, got 0",
             ),
+            (
+                ["run", "--scenario", "quick", "--length", "10",
+                 "--policy", "local-lfd", "--window", "-2"],
+                "lookahead_apps must be >= 0, got -2",
+            ),
+            (
+                ["worker", "--store", "{tmp}", "--once", "--ttl", "0"],
+                "lease_ttl must be > 0 seconds, got 0.0",
+            ),
         ],
     )
     def test_library_errors_exit_2_without_traceback(

@@ -12,7 +12,6 @@ import http.client
 import multiprocessing
 import pickle
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,7 +32,6 @@ from repro.resilience import (
     CrashSink,
     FaultError,
     FaultPlan,
-    LeaseKeeper,
     RetryPolicy,
     run_checkpoint_key,
 )
@@ -483,36 +481,17 @@ class TestSessionCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Leases: defensive expiry, skew margin, renewal monotonicity (s6)
+# Leases: defensive expiry, skew margin, TTL validation
 # ----------------------------------------------------------------------
 class TestLeaseExpiry:
-    def test_renew_never_shrinks_when_clock_steps_back(self, tmp_path, monkeypatch):
-        store = ArtifactStore(tmp_path / "s")
-        queue = CellQueue(store, "sw", n_cells=1)
-        now = [1000.0]
-        monkeypatch.setattr(
-            "repro.backends.queue.time", SimpleNamespace(time=lambda: now[0])
-        )
-        queue.renew(0, "w1", 30.0)
-        assert store.load("lease", queue.cell_key(0), decode_lease)["expires"] == 1030.0
-        # NTP steps the renewing host's wall clock 50s back: a naive
-        # rewrite would shorten the lease to 970 + 30 = 1000.
-        now[0] = 970.0
-        queue.renew(0, "w1", 30.0)
-        assert store.load("lease", queue.cell_key(0), decode_lease)["expires"] == 1030.0
-
-    def test_foreign_renewal_does_not_inherit_expiry(self, tmp_path, monkeypatch):
-        store = ArtifactStore(tmp_path / "s")
-        queue = CellQueue(store, "sw", n_cells=1)
-        now = [1000.0]
-        monkeypatch.setattr(
-            "repro.backends.queue.time", SimpleNamespace(time=lambda: now[0])
-        )
-        queue.renew(0, "w1", 100.0)
-        now[0] = 1010.0
-        queue.renew(0, "w2", 5.0)
-        lease = store.load("lease", queue.cell_key(0), decode_lease)
-        assert lease["worker"] == "w2" and lease["expires"] == 1015.0
+    @pytest.mark.parametrize("ttl", [0, -1.0])
+    def test_nonpositive_lease_ttl_rejected(self, tmp_path, ttl):
+        # A lease with TTL <= 0 is stale as soon as it is written: any
+        # cell longer than the skew margin would be reclaimed and rerun.
+        with pytest.raises(ExperimentError, match="lease_ttl"):
+            WorkStealingBackend(tmp_path / "s", lease_ttl=ttl)
+        with pytest.raises(ExperimentError, match="lease_ttl"):
+            run_worker(tmp_path / "s", lease_ttl=ttl, once=True)
 
     def test_skew_margin_grace_before_reclaim(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
@@ -564,37 +543,9 @@ class TestLeaseExpiry:
             n_cells=1,
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
         )
-        queue.renew(0, "w1", 5.0)
-        assert store.load("lease", queue.cell_key(0), decode_lease)["worker"] == "w1"
+        queue.complete(0, {"policy_label": "LRU"}, "w1")
+        assert queue.result(0)["worker"] == "w1"
         assert calls["n"] == 2
-
-
-class TestLeaseKeeper:
-    def _keeper(self, clock):
-        fake = SimpleNamespace(renewed=[])
-        fake.renew = lambda index, worker, ttl: fake.renewed.append((index, worker, ttl))
-        keeper = LeaseKeeper(fake, "w", ttl_s=9.0, monotonic=lambda: clock[0])
-        return fake, keeper
-
-    def test_renews_tracked_leases_on_cadence(self):
-        clock = [0.0]
-        fake, keeper = self._keeper(clock)
-        keeper.track([1, 2])
-        assert keeper.tick() == 0  # cadence (ttl/3 = 3s) not elapsed
-        clock[0] = 3.5
-        assert keeper.tick() == 2
-        keeper.done(2)
-        clock[0] = 7.0
-        assert keeper.tick() == 1
-        assert keeper.renewals == 3
-        assert fake.renewed == [(1, "w", 9.0), (2, "w", 9.0), (1, "w", 9.0)]
-
-    def test_force_tick_and_empty_batch(self):
-        clock = [0.0]
-        fake, keeper = self._keeper(clock)
-        assert keeper.tick(force=True) == 0  # nothing tracked
-        keeper.track([3])
-        assert keeper.tick(force=True) == 1
 
 
 # ----------------------------------------------------------------------

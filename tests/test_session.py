@@ -186,10 +186,7 @@ class TestSweep:
 class TestArtifactCache:
     def test_mobility_computed_once_per_workload_and_rus(self, workload):
         """Acceptance: cache hits are observable, one miss per (wl, n_rus)."""
-        # record_reuse off: the point here is that *re-executed* sweeps
-        # ask the mobility cache once per plan node (a warm session would
-        # otherwise serve the whole second sweep from the record memo).
-        session = Session(workload=workload, record_reuse=False)
+        session = Session(workload=workload)
         specs = [
             local_lfd_spec(1, skip_events=True),
             local_lfd_spec(2, skip_events=True),
@@ -201,6 +198,10 @@ class TestArtifactCache:
         # one mobility node per distinct (n_rus, latency), so a sweep asks
         # the cache exactly once per node rather than once per cell.
         assert session.cache.mobility_stats.hits == 0
+        # Forget the record memo so the second sweep re-executes and asks
+        # the mobility cache once per plan node (a warm session would
+        # otherwise serve the whole sweep from the memo).
+        session.forget_records()
         session.sweep(specs, ru_counts=RU_SUBSET)
         assert session.cache.mobility_stats.computations == len(RU_SUBSET)
         assert session.cache.mobility_stats.hits == len(RU_SUBSET)
