@@ -16,9 +16,6 @@ Two legs on skip-enabled specs (the mobility-hungry path):
   directory: compiled workload and mobility tables all disk hits, 0
   computations; ideals recomputed, 0 disk hits.
 
-A third mini-leg cross-checks the fast bisect mobility engine against the
-literal Fig. 6 linear scan on the same workload (byte-identical tables).
-
 Measurements land in ``benchmarks/results/bench_artifact_store.json``
 (uploaded as a CI artifact) so future PRs can track the trajectory.
 """
@@ -31,11 +28,9 @@ import time
 from pathlib import Path
 
 from repro.artifacts import ArtifactStore
-from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.session import ArtifactCache, Session
 from repro.workloads.scenarios import make_scenario
-from repro.hw.model import DeviceModel
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_artifact_store.json"
 
@@ -98,23 +93,6 @@ def test_warm_store_skips_design_time_phase():
         "despite serving all design-time artifacts from disk"
     )
 
-    # Engine cross-check: bisect tables == literal Fig. 6 linear scan.
-    graphs = workload.distinct_graphs()
-    bisect_sims = {}
-    linear_sims = {}
-    for n_rus in RU_COUNTS:
-        fast = MobilityCalculator(
-            search="bisect",
-            device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
-        )
-        literal = MobilityCalculator(
-            search="linear",
-            device=DeviceModel.homogeneous(n_rus, workload.reconfig_latency),
-        )
-        assert fast.compute_tables(graphs) == literal.compute_tables(graphs)
-        bisect_sims[n_rus] = fast.simulations
-        linear_sims[n_rus] = literal.simulations
-
     payload = {
         "benchmark": "artifact_store_cold_warm",
         "workload": workload.name,
@@ -125,10 +103,6 @@ def test_warm_store_skips_design_time_phase():
         "speedup": round(cold_s / warm_s, 2) if warm_s > 0 else None,
         "cold_cache": cold_cache.stats_summary(),
         "warm_cache": warm_cache.stats_summary(),
-        "mobility_search": {
-            "bisect_simulations": bisect_sims,
-            "linear_simulations": linear_sims,
-        },
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

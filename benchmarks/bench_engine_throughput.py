@@ -31,7 +31,12 @@ Cases (PR-5 acceptance set):
   dispatch overhead the warm re-execution path adds on top of perfectly
   parallelised pure sim (``warm_exec − sim/parallel``), also reported
   per cell as ``sweep64_setup_overhead_ms_per_cell``;
-* ``mobility_tables_s`` — the design-time phase for the paper catalog.
+* ``mobility_tables_s`` — the design-time phase for the paper catalog;
+* ``mobility_catalog_s`` — the design-time phase for a random 48-graph
+  catalog (4–8 tasks) on RUs {4, 6, 8} x latencies {2, 4, 8, 16} ms: 576
+  tables from one fresh calculator per repeat, its memo shared across
+  the twelve devices as the session's artifact cache shares it.  The
+  deterministic probe count is recorded as ``mobility_catalog_sims``.
 
 A machine-speed calibration loop (``calibration_ops_per_s``) is recorded
 alongside so the regression gate can compare runs from different
@@ -47,6 +52,7 @@ from pathlib import Path
 from repro.core.mobility import MobilityCalculator
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.graphs.multimedia import benchmark_suite
+from repro.graphs.random_graphs import random_layered_graph
 from repro.session import Session
 from repro.sim.simulator import run_simulation
 from repro.workloads.compiled import CompiledWorkload
@@ -85,6 +91,9 @@ SWEEP_SPECS = [
 SWEEP_RUS = (4, 5, 6, 7, 8, 9, 10, 11)
 SWEEP_PARALLEL = 4
 SWEEP_LENGTH = 120
+
+#: Distinct graphs in the ``mobility_catalog_s`` design-time case.
+MOBILITY_CATALOG_GRAPHS = 48
 
 
 def calibrate(n: int = 200_000) -> float:
@@ -242,6 +251,31 @@ def test_engine_throughput_suite():
         best_mob = wall if best_mob is None or wall < best_mob else best_mob
         assert set(tables) == {"JPEG", "MPEG1", "HOUGH"}
     cases["mobility_tables_s"] = round(best_mob, 4)
+
+    # Design-time phase for a catalog-style workload: the case where it
+    # dominates a cold sweep (many distinct graphs x many devices).
+    catalog = [
+        random_layered_graph(f"CAT{i}", 4 + i % 5, seed=7000 + i)
+        for i in range(MOBILITY_CATALOG_GRAPHS)
+    ]
+    devices = [
+        DeviceModel.homogeneous(n_rus, latency)
+        for n_rus in (4, 6, 8)
+        for latency in (2000, 4000, 8000, 16000)
+    ]
+    best_cat = None
+    for _ in range(REPEATS):
+        root = MobilityCalculator(device=devices[0])
+        sims = 0
+        t0 = time.perf_counter()
+        for device in devices:
+            calc = root.for_device(device)
+            assert len(calc.compute_tables(catalog)) == MOBILITY_CATALOG_GRAPHS
+            sims += calc.simulations
+        wall = time.perf_counter() - t0
+        best_cat = wall if best_cat is None or wall < best_cat else best_cat
+    cases["mobility_catalog_s"] = round(best_cat, 4)
+    cases["mobility_catalog_sims"] = sims
 
     calibration = max(calibrate() for _ in range(REPEATS))
     # Speedups vs the pre-compiled engine on main, machine-scaled through

@@ -19,31 +19,35 @@ The delays are *forced* through the manager's ``forced_delays`` hook —
 they happen regardless of replacement decisions, exactly like the tentative
 delays in the paper's Fig. 7 worked example.
 
-**Search strategies.**  The literal Fig. 6 scan simulates every delay
-1, 2, ... until the makespan grows — O(mobility) isolated simulations per
-task.  The delayed makespan is non-decreasing in the delay (delaying a
-load strictly later can only push work later), so the production default
-``search="bisect"`` exponentially probes 1, 2, 4, ... for the first
-harmful delay and then bisects the bracket — O(log mobility) simulations,
-with *identical* results.  ``verify=True`` additionally runs the literal
-linear scan per task and falls back to its answer (with a warning) on any
-divergence; the test suite runs the cross-check over every registered
-scenario so the golden mobility tables stay byte-identical.
+**Cost.**  The search is the literal Fig. 6 scan (mobilities are small —
+at most 6 on the benchmark catalog — so it probes less than a bisection
+would).  What the production calculator saves is everything around the
+probes, without changing a value:
+
+* one :class:`~repro.sim.manager.ExecutionManager` per graph, re-armed
+  (:meth:`~repro.sim.manager.ExecutionManager.arm`) for every probe
+  instead of constructed;
+* tables keyed on the *effective device*: on a floorplan of identical
+  slots a graph run alone never touches more than ``len(graph)`` RUs, so
+  its table on R RUs is its table on ``min(R, len(graph))``.  A memoizing
+  calculator computes each graph's table once per effective device and
+  shares it with every calculator :meth:`MobilityCalculator.for_device`
+  derives from it.
 
 This module also provides :class:`PurelyRuntimeMobilityAdvisor`, the
 "equivalent purely run-time" comparator from the paper's abstract: it
 recomputes mobility on the fly at every replacement decision instead of
 reading a precomputed table.  The ~10x hybrid speed-up claim is reproduced
-by benchmarking the two (experiment X-HYB).  The comparator deliberately
-runs the *literal* linear scan with no memoization — it models the cost of
-not having a design-time phase, so it must not inherit the design-time
-engine's shortcuts.
+by benchmarking the two (experiment X-HYB).  The comparator runs with
+``memoize=False``: a fresh manager per probe, no memo and the full device
+— it models the cost of not having a design-time phase, so it must not
+inherit the design-time engine's shortcuts.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -51,14 +55,12 @@ from repro.exceptions import SimulationError
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
 from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
-from repro.sim.manager import ExecutionManager, MobilityTables
+from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import ManagerSemantics
 from repro.core.policies.base import ReplacementPolicy
 from repro.core.policies.lfd import LocalLFDPolicy
 from repro.core.replacement_module import PolicyAdvisor
-
-#: Valid delay-search strategies (see :class:`MobilityCalculator`).
-SEARCH_MODES = ("bisect", "linear")
+from repro.workloads.compiled import distinct_graphs
 
 #: Sentinel makespan for infeasible delays (effectively +inf).
 _INFEASIBLE = 2**63
@@ -100,21 +102,12 @@ class MobilityCalculator:
     max_mobility:
         Safety cap on the per-task search (defaults to twice the graph
         size plus a margin — more delay slots than events cannot help).
-    search:
-        ``"bisect"`` (default) — exponential probe then bisection over the
-        delay axis, O(log mobility) simulations per task.
-        ``"linear"`` — the literal Fig. 6 scan, O(mobility) simulations.
-        Both return identical tables (monotone delayed makespan).
-    verify:
-        Cross-check every bisect result against the literal linear scan;
-        on divergence warn and return the linear (paper-literal) answer.
-        Expensive — meant for tests and golden-table audits, not sweeps.
-    memoize_reference:
-        Cache the reference makespan per graph across calls, so repeated
-        ``compute``/``compute_tables`` invocations on the same calculator
-        (e.g. by the session's artifact cache) pay the reference schedule
-        once.  Disabled by the purely-run-time comparator, which must pay
-        the full literal cost on every decision.
+    memoize:
+        Re-arm one manager per graph across its probes and keep each
+        table per (graph, effective device), shared with the calculators
+        :meth:`for_device` derives.  Disabled by the purely-run-time
+        comparator, which must pay the full literal cost on every
+        decision: a fresh manager per probe, no memo, the full device.
     """
 
     def __init__(
@@ -122,87 +115,48 @@ class MobilityCalculator:
         semantics: ManagerSemantics = ManagerSemantics(),
         policy_factory=LocalLFDPolicy,
         max_mobility: Optional[int] = None,
-        search: str = "bisect",
-        verify: bool = False,
-        memoize_reference: bool = True,
+        memoize: bool = True,
         *,
         device: DeviceModel,
     ) -> None:
-        if search not in SEARCH_MODES:
-            raise ValueError(f"search must be one of {SEARCH_MODES}, got {search!r}")
         self.device = device
         self.n_rus = device.n_rus
         self.reconfig_latency = device.reconfig_latency
         self.semantics = semantics
         self.policy_factory = policy_factory
         self.max_mobility = max_mobility
-        self.search = search
-        self.verify = verify
-        self.memoize_reference = memoize_reference
-        # Reference makespans keyed by graph *content* digest: identical
-        # graphs share entries without pinning the objects, and the map is
-        # capped (FIFO eviction) so a long-lived calculator shared across
-        # many generated workloads cannot grow without bound.
-        self._reference_cache: Dict[str, int] = {}
-        self._reference_cache_cap = 512
-        # Compiled single-graph workloads, keyed by graph identity (the
-        # graph object is pinned alongside so ids cannot be recycled).
-        # The Fig. 6 search simulates the same graph O(n log mobility)
-        # times; compiling it once per calculator removes that redundancy.
-        # Deliberately disabled with memoize_reference=False: the
-        # purely-run-time comparator must not inherit design-time
-        # shortcuts, so it recompiles per simulation exactly like a
-        # manager constructed from scratch.
-        self._compiled_cache: Dict[int, Tuple[TaskGraph, object]] = {}
+        self.memoize = memoize
+        #: Tables per (graph, effective device); graphs hash by content.
+        self._tables: Dict[Tuple[TaskGraph, DeviceModel], Dict[int, int]] = {}
         #: Isolated simulations run so far (observable by perf tests).
         self.simulations = 0
 
-    # ------------------------------------------------------------------
-    def _compiled_graph(self, graph: TaskGraph):
-        from repro.workloads.compiled import CompiledWorkload
+    def for_device(self, device: DeviceModel) -> "MobilityCalculator":
+        """A calculator with these settings for ``device``, sharing this
+        one's table memo (its simulation count starts at zero)."""
+        twin = copy.copy(self)
+        twin.device = device
+        twin.n_rus = device.n_rus
+        twin.reconfig_latency = device.reconfig_latency
+        twin.simulations = 0
+        return twin
 
-        if not self.memoize_reference:
-            return None  # manager compiles per run (the honest literal cost)
-        key = id(graph)
-        entry = self._compiled_cache.get(key)
-        if entry is not None and entry[0] is graph:
-            return entry[1]
-        if len(self._compiled_cache) >= self._reference_cache_cap:
-            self._compiled_cache.pop(next(iter(self._compiled_cache)))
-        compiled = CompiledWorkload.compile([graph])
-        self._compiled_cache[key] = (graph, compiled)
-        return compiled
+    def effective_device(self, graph: TaskGraph) -> DeviceModel:
+        """The device ``graph``'s isolation schedules are run on.
 
-    def _isolated_makespan(
-        self, graph: TaskGraph, forced_delays: Optional[Mapping] = None
-    ) -> int:
-        self.simulations += 1
-        manager = ExecutionManager(
-            graphs=[graph],
-            advisor=PolicyAdvisor(self.policy_factory()),
-            semantics=self.semantics,
-            forced_delays=forced_delays,
-            trace="aggregate",  # only the makespan is read
-            device=self.device,
-            compiled=self._compiled_graph(graph),
-        )
-        return manager.run().makespan
+        A graph run alone on identical slots never touches more than
+        ``len(graph)`` RUs, so the extra RUs cannot change a makespan.
+        Mixed floorplans, and the comparator (``memoize=False``), keep
+        the full device.
+        """
+        device = self.device
+        if self.memoize and device.n_rus > len(graph) and len(set(device.slots)) == 1:
+            return device.with_n_rus(len(graph))
+        return device
 
     def reference_makespan(self, graph: TaskGraph) -> int:
         """Makespan of the all-mobility-zero ASAP schedule (Fig. 7a)."""
-        if not self.memoize_reference:
-            return self._isolated_makespan(graph)
-        from repro.artifacts.keys import graphs_content_key
-
-        key = graphs_content_key([graph])
-        cached = self._reference_cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._isolated_makespan(graph)
-        if len(self._reference_cache) >= self._reference_cache_cap:
-            self._reference_cache.pop(next(iter(self._reference_cache)))
-        self._reference_cache[key] = value
-        return value
+        return _IsolatedRuns(self, graph).makespan()
 
     def delayed_makespan(self, graph: TaskGraph, node_id: int, delay_events: int) -> int:
         """Makespan when ``node_id``'s load is delayed ``delay_events`` events.
@@ -210,86 +164,14 @@ class MobilityCalculator:
         A delay so large the task never gets a load opportunity deadlocks
         the schedule; that is reported as an infinite makespan.
         """
-        if delay_events == 0:
-            return self.reference_makespan(graph)
-        try:
-            return self._isolated_makespan(
-                graph, forced_delays={(0, node_id): delay_events}
-            )
-        except SimulationError:
-            return _INFEASIBLE  # effectively +inf: the delay is infeasible
-
-    # ------------------------------------------------------------------
-    # Per-task delay search
-    # ------------------------------------------------------------------
-    def _linear_mobility(self, graph: TaskGraph, node_id: int, reference: int, cap: int) -> int:
-        """The literal Fig. 6 scan: largest harmless delay, one sim each."""
-        mobility = 0
-        while mobility < cap:
-            if self.delayed_makespan(graph, node_id, mobility + 1) > reference:
-                break
-            mobility += 1
-        return mobility
-
-    def _bisect_mobility(self, graph: TaskGraph, node_id: int, reference: int, cap: int) -> int:
-        """Exponential probe + bisection for the first harmful delay.
-
-        Relies on the delayed makespan being non-decreasing in the delay;
-        under that invariant the result equals :meth:`_linear_mobility`
-        exactly (and ``verify=True`` re-checks it per task).
-        """
-        def harmful(delay: int) -> bool:
-            return self.delayed_makespan(graph, node_id, delay) > reference
-
-        # Probe 1, 2, 4, ... for a bracket [last_ok, first_harmful].
-        last_ok = 0
-        probe = 1
-        first_harmful = None
-        while probe <= cap:
-            if harmful(probe):
-                first_harmful = probe
-                break
-            last_ok = probe
-            probe *= 2
-        if first_harmful is None:
-            if last_ok < cap and harmful(cap):
-                first_harmful = cap
-            else:
-                # Every delay up to the cap is harmless (or the cap itself
-                # was already probed harmless): mobility saturates.
-                return cap
-        # Invariant: last_ok harmless, first_harmful harmful.
-        lo, hi = last_ok, first_harmful
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if harmful(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    def _task_mobility(self, graph: TaskGraph, node_id: int, reference: int, cap: int) -> int:
-        if self.search == "linear":
-            return self._linear_mobility(graph, node_id, reference, cap)
-        fast = self._bisect_mobility(graph, node_id, reference, cap)
-        if self.verify:
-            literal = self._linear_mobility(graph, node_id, reference, cap)
-            if literal != fast:  # pragma: no cover - monotonicity safety net
-                warnings.warn(
-                    f"bisect mobility search diverged from the literal Fig. 6 "
-                    f"scan for {graph.name!r} task {node_id} "
-                    f"(bisect={fast}, linear={literal}); using the literal value",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return literal
-        return fast
+        return _IsolatedRuns(self, graph).delayed(node_id, delay_events)
 
     # ------------------------------------------------------------------
     def compute(self, graph: TaskGraph) -> MobilityResult:
         """Run the full Fig. 6 algorithm for one graph."""
         t0 = time.perf_counter()
-        reference = self.reference_makespan(graph)
+        runs = _IsolatedRuns(self, graph)
+        reference = runs.makespan()
         order = graph.reconfiguration_order()
         cap = (
             self.max_mobility
@@ -298,7 +180,11 @@ class MobilityCalculator:
         )
         mobilities: Dict[int, int] = {order[0]: 0}
         for node_id in order[1:]:
-            mobilities[node_id] = self._task_mobility(graph, node_id, reference, cap)
+            # The literal scan: the largest harmless delay, one run each.
+            mobility = 0
+            while mobility < cap and runs.delayed(node_id, mobility + 1) <= reference:
+                mobility += 1
+            mobilities[node_id] = mobility
         return MobilityResult(
             graph_name=graph.name,
             n_rus=self.n_rus,
@@ -311,16 +197,63 @@ class MobilityCalculator:
     def compute_tables(self, graphs: Sequence[TaskGraph]) -> Dict[str, Dict[int, int]]:
         """Mobility tables for a whole application set, keyed by graph name.
 
-        Graphs sharing a name (repeated instances) are computed once, and
-        one calculator reuses its memoized reference schedules across
-        calls — hold on to the instance when computing tables for several
-        workloads over the same catalog.
+        Graphs sharing a name (repeated instances) are computed once; two
+        *different* graphs sharing a name raise
+        :class:`~repro.exceptions.WorkloadError`.  A memoizing calculator
+        computes a graph's table once per effective device across calls
+        and across its :meth:`for_device` twins.
         """
+        memo = self._tables if self.memoize else {}
         tables: Dict[str, Dict[int, int]] = {}
-        for graph in graphs:
-            if graph.name not in tables:
-                tables[graph.name] = dict(self.compute(graph).mobilities)
+        for graph in distinct_graphs(graphs):
+            key = (graph, self.effective_device(graph))
+            if key not in memo:
+                memo[key] = self.compute(graph).table()
+            tables[graph.name] = dict(memo[key])
         return tables
+
+
+class _IsolatedRuns:
+    """The isolated simulations of one graph (the probes of one search).
+
+    A memoizing calculator builds one manager on the first probe and
+    re-arms it for every later one; otherwise each probe constructs a
+    manager from scratch.
+    """
+
+    def __init__(self, calc: MobilityCalculator, graph: TaskGraph) -> None:
+        self.calc = calc
+        self.graph = graph
+        self.device = calc.effective_device(graph)
+        self.manager: Optional[ExecutionManager] = None
+
+    def makespan(self, forced_delays: Optional[Mapping] = None) -> int:
+        calc = self.calc
+        calc.simulations += 1
+        advisor = PolicyAdvisor(calc.policy_factory())
+        manager = self.manager
+        if manager is None:
+            manager = ExecutionManager(
+                graphs=[self.graph],
+                advisor=advisor,
+                semantics=calc.semantics,
+                forced_delays=forced_delays,
+                trace="aggregate",  # only the makespan is read
+                device=self.device,
+            )
+            if calc.memoize:
+                self.manager = manager
+        else:
+            manager.arm(advisor, forced_delays, trace="aggregate")
+        return manager.run().makespan
+
+    def delayed(self, node_id: int, delay_events: int) -> int:
+        if delay_events == 0:
+            return self.makespan()
+        try:
+            return self.makespan({(0, node_id): delay_events})
+        except SimulationError:
+            return _INFEASIBLE  # effectively +inf: the delay is infeasible
 
 
 class PurelyRuntimeMobilityAdvisor(ReplacementAdvisor):
@@ -331,9 +264,9 @@ class PurelyRuntimeMobilityAdvisor(ReplacementAdvisor):
     incoming task's mobility with the full Fig. 6 search on every decision.
     Functionally identical; computationally ~an-order-of-magnitude slower —
     which is precisely the hybrid design-time/run-time argument.  Its
-    internal calculator runs the literal linear scan with reference
-    memoization disabled, so it pays the true no-design-time cost rather
-    than inheriting the design-time engine's speedups.
+    internal calculator runs with ``memoize=False`` (a fresh manager per
+    probe, no memo, the full device), so it pays the true no-design-time
+    cost rather than inheriting the design-time engine's speedups.
 
     Like :class:`PolicyAdvisor`, it forwards the manager's bookkeeping
     notifications to the wrapped policy — stateful policies (LRU, LFU,
@@ -353,10 +286,7 @@ class PurelyRuntimeMobilityAdvisor(ReplacementAdvisor):
         self.policy = policy
         self.graphs_by_name = dict(graphs_by_name)
         self.calculator = MobilityCalculator(
-            semantics=semantics,
-            search="linear",
-            memoize_reference=False,
-            device=device,
+            semantics=semantics, memoize=False, device=device
         )
         self._cacheless_decisions = 0
 

@@ -151,8 +151,9 @@ class ArtifactCache:
     Stores:
 
     * the **zero-latency ideal makespan** of each *graph* per ``(graph
-      content, n_rus)`` — all a uniform-capacity floorplan's ideal depends
-      on — in memory only (one costs about a store load) —
+      content, min(n_rus, len(graph)))`` — all a uniform-capacity
+      floorplan's ideal depends on, since a graph alone never uses more
+      RUs than it has tasks — in memory only (one costs about a store load) —
       a workload's ideal folds them over its sequence and arrivals
       (:func:`~repro.sim.simulator.folded_ideal`), so every latency,
       arrival pattern and workload over the catalog shares them.
@@ -161,7 +162,10 @@ class ArtifactCache:
       fingerprint)`` (paper Fig. 6/7 — latency-dependent because delayed
       schedules shift by it).  On disk the tables key on the
       *distinct graphs* only, so workloads drawing different sequences
-      from the same catalog share them.
+      from the same catalog share them.  One calculator memo serves
+      every device, so each graph's table is computed once per
+      effective device (``min(n_rus, len(graph))`` RUs on identical
+      slots; see :mod:`repro.core.mobility`).
 
     With ``store=None`` the cache is purely in-memory (one process pays
     each computation once — the pre-store behaviour).  With a
@@ -179,7 +183,7 @@ class ArtifactCache:
         self._ideal: Dict[Tuple, int] = {}
         self._mobility: Dict[Tuple, MobilityTables] = {}
         self._compiled: Dict[str, CompiledWorkload] = {}
-        self._calculators: Dict[Tuple, MobilityCalculator] = {}
+        self._mobility_calc: Optional[MobilityCalculator] = None
         self._records: Dict[Tuple, "PolicyRunRecord"] = {}
         self.ideal_stats = CacheStats()
         self.mobility_stats = CacheStats()
@@ -274,13 +278,13 @@ class ArtifactCache:
             )
         return compiled
 
-    def _calculator(self, device: DeviceModel, device_key: str) -> MobilityCalculator:
-        """One calculator per device, reused across compute_tables calls
-        so reference schedules stay memoized."""
-        calc = self._calculators.get(device_key)
-        if calc is None:
-            calc = self._calculators[device_key] = MobilityCalculator(device=device)
-        return calc
+    def _calculator(self, device: DeviceModel) -> MobilityCalculator:
+        """A calculator for ``device`` sharing one table memo with every
+        other device's, so a graph's table is computed once per
+        effective device (see :mod:`repro.core.mobility`)."""
+        if self._mobility_calc is None:
+            self._mobility_calc = MobilityCalculator(device=device)
+        return self._mobility_calc.for_device(device)
 
     def ideal_makespan_us(
         self,
@@ -313,8 +317,9 @@ class ArtifactCache:
         ideal_device = device.zero_latency()
 
         def per_graph(graph: TaskGraph, solo: CompiledWorkload) -> int:
+            # Alone, a graph never uses more RUs than it has tasks.
             return self._ideal_lookup(
-                (graph, device.n_rus),
+                (graph, min(device.n_rus, len(graph))),
                 lambda: ideal_makespan([graph], device=ideal_device, compiled=solo),
             )
 
@@ -357,7 +362,7 @@ class ArtifactCache:
                 self.mobility_stats.disk_hits += 1
                 self._mobility[key] = stored
                 return stored
-        tables = self._calculator(device, device_key).compute_tables(distinct_graphs)
+        tables = self._calculator(device).compute_tables(distinct_graphs)
         self._mobility[key] = tables
         if self.store is not None:
             meta = {

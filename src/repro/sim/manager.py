@@ -259,7 +259,6 @@ class ExecutionManager:
         self.device = device
         self.n_rus = device.n_rus
         self.reconfig_latency = device.reconfig_latency
-        self.advisor = advisor
         self.mobility_tables = mobility_tables or {}
         self.compiled = compiled
         self._arrivals = list(arrival_times) if arrival_times else [0] * len(graphs)
@@ -272,40 +271,17 @@ class ExecutionManager:
         self._cost_by_cid: Optional[Tuple[int, ...]] = (
             None if self._fixed_latency is not None else compiled.load_costs(device)
         )
-
-        # Columnar runtime state: every mutable per-node / per-config /
-        # per-RU quantity lives in preallocated integer columns (see
-        # repro.sim.columns); the hot loops below bind them to locals.
-        state = EngineState(compiled, device.n_rus)
-        self.state = state
         self._n_apps = compiled.n_apps
         #: Per instance: compiled graph and task count (flat, no object hop).
         self._app_capps: List[CompiledApp] = [
             compiled.graphs[gi] for gi in compiled.app_graph
         ]
         self._app_ntasks = compiled.app_n_tasks
-        self.apps: List[_AppRun] = [
-            _AppRun(i, self._app_capps[i], self._arrivals[i], state)
-            for i in range(compiled.n_apps)
-        ]
-        self.rus: List[RU] = [
-            RU(i, slot=device.slots[i]) for i in range(device.n_rus)
-        ]
-        self.queue = EventQueue()
-        self._push = self.queue.push
-        self.clock = 0
-        self._trace_primary, self._sinks = resolve_trace_mode(trace, extra_sinks)
-        self._bind_sinks()
-        self._bind_advisor()
-        #: Checkpoint cadence: events handled so far, and — when armed by
+        #: Checkpoint cadence — when armed by
         #: :func:`repro.resilience.checkpoint.arm_checkpointing` — how
-        #: often and how to persist a snapshot.  ``_resumed`` skips the
-        #: run prologue (RunStart, advisor reset, arrival scheduling)
-        #: after :func:`~repro.resilience.checkpoint.restore_checkpoint`.
-        self._events_done = 0
+        #: often and how to persist a snapshot.
         self._checkpoint_every = 0
         self._checkpoint_write = None
-        self._resumed = False
 
         # Loop-invariant semantics switches, resolved once.
         self._lookahead = semantics.lookahead_apps
@@ -315,6 +291,70 @@ class ExecutionManager:
         )
         self._stall_loaded = semantics.stall_on_loaded_future
         self._provide_oracle = semantics.provide_oracle
+
+        self._ctx = _ScratchContext()
+        # Reusable lazy views over the flat reference string; their
+        # bounds are refreshed per decision (valid for one decision only).
+        self._future_view = RefsView(compiled.flat_configs, 0, 0)
+        self._oracle_view = RefsView(compiled.flat_configs, 0, 0)
+        self._cand_scratch: List[_ScratchRUView] = []
+        self._views: List[_ScratchRUView] = [
+            _ScratchRUView(i, device.slots[i].kind, device.slots[i].capacity_kb)
+            for i in range(device.n_rus)
+        ]
+        #: Per distinct graph: mobility per rec-order position (or None).
+        tables = self.mobility_tables
+        self._mobility_by_graph: List[Optional[Tuple[int, ...]]] = [
+            (
+                None
+                if (table := tables.get(capp.name)) is None
+                else tuple(int(table.get(nid, 0)) for nid in capp.rec_order)
+            )
+            for capp in compiled.graphs
+        ]
+        self.arm(advisor, forced_delays, trace, extra_sinks)
+
+    def arm(
+        self,
+        advisor: ReplacementAdvisor,
+        forced_delays: Optional[Mapping[Tuple[int, int], int]] = None,
+        trace: TraceMode = "full",
+        extra_sinks: Sequence[TraceSink] = (),
+    ) -> None:
+        """(Re)set every piece of per-run state for a run from t = 0.
+
+        ``__init__`` ends here, so a re-armed manager runs exactly as a
+        freshly constructed one over the same workload and device would:
+        new state columns, RUs, event queue, dispatch cursors, forced
+        delays, trace sinks and ``advisor``.  The design-time mobility
+        search re-arms one manager per probe instead of building one.
+        """
+        # Columnar runtime state: every mutable per-node / per-config /
+        # per-RU quantity lives in preallocated integer columns (see
+        # repro.sim.columns); the hot loops below bind them to locals.
+        compiled = self.compiled
+        state = EngineState(compiled, self.n_rus)
+        self.state = state
+        self.apps: List[_AppRun] = [
+            _AppRun(i, self._app_capps[i], self._arrivals[i], state)
+            for i in range(compiled.n_apps)
+        ]
+        self.rus: List[RU] = [
+            RU(i, slot=slot) for i, slot in enumerate(self.device.slots)
+        ]
+        self.queue = EventQueue()
+        self._push = self.queue.push
+        self.clock = 0
+        self.advisor = advisor
+        self._bind_advisor()
+        self._trace_primary, self._sinks = resolve_trace_mode(trace, extra_sinks)
+        self._bind_sinks()
+        #: Events handled so far (the checkpoint cadence counts them);
+        #: ``_resumed`` skips the run prologue (RunStart, advisor reset,
+        #: arrival scheduling) after
+        #: :func:`~repro.resilience.checkpoint.restore_checkpoint`.
+        self._events_done = 0
+        self._resumed = False
 
         # Dispatch pointer over the concatenated reconfiguration sequences.
         self._dispatch_app = 0       # index into self.apps
@@ -326,10 +366,10 @@ class ExecutionManager:
         self._head_obj: Optional[TaskInstance] = None
         #: Free reconfiguration controllers, kept sorted so arbitration is
         #: deterministic (lowest-numbered free controller loads next).
-        self._free_controllers: List[int] = list(range(device.n_controllers))
+        self._free_controllers: List[int] = list(range(self.device.n_controllers))
         #: Free (never-yet-loaded) RU indices as a min-heap: claiming the
         #: lowest-index free RU is O(log n), and RUs never return to EMPTY.
-        self._free_rus: List[int] = list(range(device.n_rus))
+        self._free_rus: List[int] = list(range(self.n_rus))
         #: RU indices with a loaded-and-claimed configuration awaiting its
         #: execution start (state LOADED, ``pending`` set), kept sorted so
         #: executions start in RU-index order without re-sorting per event.
@@ -370,28 +410,8 @@ class ExecutionManager:
         self._dl_view = WindowConfigSet(
             self._win_counts, compiled.config_index, compiled.config_ids
         )
-        self._ctx = _ScratchContext()
         self._ctx.busy_configs = self._busy_cfgs
         self._ctx.dl_configs = self._dl_view
-        # Reusable lazy views over the flat reference string; their
-        # bounds are refreshed per decision (valid for one decision only).
-        self._future_view = RefsView(compiled.flat_configs, 0, 0)
-        self._oracle_view = RefsView(compiled.flat_configs, 0, 0)
-        self._cand_scratch: List[_ScratchRUView] = []
-        self._views: List[_ScratchRUView] = [
-            _ScratchRUView(i, device.slots[i].kind, device.slots[i].capacity_kb)
-            for i in range(device.n_rus)
-        ]
-        #: Per distinct graph: mobility per rec-order position (or None).
-        tables = self.mobility_tables
-        self._mobility_by_graph: List[Optional[Tuple[int, ...]]] = [
-            (
-                None
-                if (table := tables.get(capp.name)) is None
-                else tuple(int(table.get(nid, 0)) for nid in capp.rec_order)
-            )
-            for capp in compiled.graphs
-        ]
 
     @staticmethod
     def checked_workload(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.graphs.task import ConfigId
@@ -54,6 +54,26 @@ def max_concurrency(graph: TaskGraph) -> int:
         cur += delta
         best = max(best, cur)
     return best
+
+
+def distinct_graphs(graphs: Iterable[TaskGraph]) -> List[TaskGraph]:
+    """Distinct graphs by name, in first-appearance order.
+
+    Two *objects* sharing a name must be content-equal: configurations
+    are identified by ``(name, node_id)`` and mobility tables are keyed
+    by name, so same-name-different-content graphs would silently
+    corrupt reuse accounting and design-time tables alike.
+    """
+    by_name: Dict[str, TaskGraph] = {}
+    for graph in graphs:
+        seen = by_name.setdefault(graph.name, graph)
+        if seen is not graph and seen != graph:
+            raise WorkloadError(
+                f"workload contains two different graphs named "
+                f"{graph.name!r}; configuration identity is "
+                "(name, node_id), so graph names must be unique per content"
+            )
+    return list(by_name.values())
 
 
 @dataclass(frozen=True)
@@ -256,34 +276,16 @@ class CompiledWorkload:
         """Compile an application sequence (graphs repeat by reference)."""
         if not graphs:
             raise WorkloadError("cannot compile an empty application sequence")
-        # Distinct graphs by name, first-appearance order.  Two *objects*
-        # sharing a name must be content-equal: configurations are
-        # identified by (name, node_id), so same-name-different-content
-        # graphs would silently corrupt reuse accounting.
-        by_name: Dict[str, TaskGraph] = {}
-        capp_index: Dict[str, int] = {}
-        capps: List[CompiledApp] = []
-        app_graph: List[int] = []
+        distinct = distinct_graphs(graphs)
         config_index: Dict[ConfigId, int] = {}
         config_ids: List[ConfigId] = []
         config_bitstreams: List[int] = []
-        for graph in graphs:
-            seen = by_name.get(graph.name)
-            if seen is None:
-                by_name[graph.name] = graph
-                capp_index[graph.name] = len(capps)
-                capps.append(
-                    cls._compile_app(
-                        graph, config_index, config_ids, config_bitstreams
-                    )
-                )
-            elif seen is not graph and seen != graph:
-                raise WorkloadError(
-                    f"workload contains two different graphs named "
-                    f"{graph.name!r}; configuration identity is "
-                    "(name, node_id), so graph names must be unique per content"
-                )
-            app_graph.append(capp_index[graph.name])
+        capps = [
+            cls._compile_app(graph, config_index, config_ids, config_bitstreams)
+            for graph in distinct
+        ]
+        capp_index = {graph.name: i for i, graph in enumerate(distinct)}
+        app_graph = [capp_index[graph.name] for graph in graphs]
 
         flat_configs: List[ConfigId] = []
         flat_cids: List[int] = []

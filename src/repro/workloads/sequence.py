@@ -17,6 +17,7 @@ import numpy as np
 from repro.exceptions import WorkloadError
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
+from repro.workloads.compiled import distinct_graphs
 from repro.util.rng import SeedLike, make_rng
 
 
@@ -48,6 +49,7 @@ class Workload:
             raise WorkloadError(f"n_rus must be >= 1, got {self.n_rus}")
         if self.reconfig_latency < 0:
             raise WorkloadError("reconfig_latency must be >= 0")
+        distinct_graphs(self.apps)  # two different graphs may not share a name
         if self.device is None:
             object.__setattr__(
                 self,
@@ -70,10 +72,7 @@ class Workload:
 
     def distinct_graphs(self) -> List[TaskGraph]:
         """Unique applications, in first-appearance order."""
-        seen: Dict[str, TaskGraph] = {}
-        for g in self.apps:
-            seen.setdefault(g.name, g)
-        return list(seen.values())
+        return distinct_graphs(self.apps)
 
     def app_histogram(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}

@@ -2,8 +2,9 @@
 
 Covers the acceptance criteria: cold/warm round-trip through the disk
 tier, key stability across construction paths, concurrent-writer safety,
-corrupted-entry recovery, and bisect-vs-linear mobility equivalence on
-the multimedia set and every registered scenario.
+corrupted-entry recovery, and the design-time mobility engine's
+equivalence with the literal Fig. 6 reference on the multimedia set,
+every registered scenario and a random catalog.
 """
 
 import json
@@ -182,9 +183,14 @@ class TestTwoTierCache:
 
         cold = Session(workload=workload, store=ArtifactStore(root))
         cold_sweep = cold.sweep(specs, ru_counts=(4, 6))
-        n_graphs = len(workload.distinct_graphs())
+        # One per-graph ideal per effective device: a graph alone never
+        # uses more RUs than it has tasks.
+        n_ideals = len(
+            {(g, min(r, len(g))) for g in workload.distinct_graphs() for r in (4, 6)}
+        )
+        assert n_ideals < 2 * len(workload.distinct_graphs())
         assert cold.cache.mobility_stats.computations == 2
-        assert cold.cache.ideal_stats.computations == 2 * n_graphs
+        assert cold.cache.ideal_stats.computations == n_ideals
         assert cold.cache.mobility_stats.disk_hits == 0
 
         # Fresh session + fresh cache over the same directory: the
@@ -194,7 +200,7 @@ class TestTwoTierCache:
         warm_sweep = warm.sweep(specs, ru_counts=(4, 6))
         assert warm.cache.mobility_stats.computations == 0
         assert warm.cache.mobility_stats.disk_hits == 2
-        assert warm.cache.ideal_stats.computations == 2 * n_graphs
+        assert warm.cache.ideal_stats.computations == n_ideals
         assert warm.cache.ideal_stats.disk_hits == 0
         assert cold_sweep.records == warm_sweep.records
 
@@ -298,94 +304,102 @@ class TestConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
-# Fast mobility engine
+# Design-time mobility engine vs the literal reference
 # ----------------------------------------------------------------------
-class TestBisectMobilityEngine:
-    @pytest.mark.parametrize("n_rus", [4, 5, 8])
-    def test_bisect_equals_linear_on_multimedia_set(self, n_rus):
-        graphs = benchmark_suite()
-        fast = MobilityCalculator(
-            search="bisect", device=DeviceModel.homogeneous(n_rus, ms(4))
-        )
-        literal = MobilityCalculator(
-            search="linear", device=DeviceModel.homogeneous(n_rus, ms(4))
-        )
-        assert fast.compute_tables(graphs) == literal.compute_tables(graphs)
+def _literal(device):
+    """The comparator's configuration: a fresh manager per probe, no
+    memo, the full device — the paper's Fig. 6 cost, unoptimised."""
+    return MobilityCalculator(memoize=False, device=device)
 
-    def test_bisect_equals_linear_on_every_registered_scenario(self):
-        """The acceptance sweep: identical tables on every scenario's
-        catalog, at the scenario's own device sizing."""
+
+class TestLiteralMobilityEngine:
+    @pytest.mark.parametrize("n_rus", [4, 5, 8])
+    def test_matches_literal_reference_on_multimedia_set(self, n_rus):
+        graphs = benchmark_suite()
+        device = DeviceModel.homogeneous(n_rus, ms(4))
+        fast = MobilityCalculator(device=device)
+        assert fast.compute_tables(graphs) == _literal(device).compute_tables(graphs)
+
+    def test_matches_literal_reference_on_every_registered_scenario(self):
+        """Identical tables on every scenario's catalog, at the
+        scenario's own device."""
         for name in available_scenarios():
             workload = make_scenario(name, length=12)
             graphs = workload.distinct_graphs()
-            fast = MobilityCalculator(
-                search="bisect",
-                device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
-            )
-            literal = MobilityCalculator(
-                search="linear",
-                device=DeviceModel.homogeneous(workload.n_rus, workload.reconfig_latency),
-            )
+            fast = MobilityCalculator(device=workload.device)
+            literal = _literal(workload.device)
             assert fast.compute_tables(graphs) == literal.compute_tables(graphs), name
 
-    def test_verify_mode_cross_checks_literal_scan(self):
-        graphs = benchmark_suite()
-        import warnings
+    def test_matches_literal_reference_on_random_catalog(self):
+        """One shared memo over twelve devices (the ArtifactCache's use)
+        against a literal calculator per device."""
+        from repro.graphs.random_graphs import random_layered_graph
 
-        checked = MobilityCalculator(
-            search="bisect", verify=True, device=DeviceModel.homogeneous(4, ms(4))
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any divergence warning -> failure
-            tables = checked.compute_tables(graphs)
-        assert tables == MobilityCalculator(
-            search="linear", device=DeviceModel.homogeneous(4, ms(4))
-        ).compute_tables(
-            graphs
-        )
+        catalog = [
+            random_layered_graph(f"R{i}", 3 + i, seed=100 + i) for i in range(6)
+        ]
+        root = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
+        for n_rus in (4, 6, 8):
+            for latency in (ms(2), ms(4), ms(8), ms(16)):
+                device = DeviceModel.homogeneous(n_rus, latency)
+                fast = root.for_device(device).compute_tables(catalog)
+                assert fast == _literal(device).compute_tables(catalog)
 
     @pytest.mark.parametrize("mobility", [0, 1, 2, 3, 7, 19, 50, 99, 100])
-    def test_bisect_is_logarithmic_in_the_mobility(self, mobility):
-        """Search-complexity contract on a synthetic monotone delay curve:
-        bisect returns exactly the linear answer with O(log cap) probes
-        where the literal scan pays O(mobility).  (Real graphs in this
-        event model keep mobilities small — see the scenario equivalence
-        tests — so the asymptotic claim is pinned synthetically.)"""
+    def test_literal_scan_stops_at_first_harmful_delay(self, mobility, monkeypatch):
+        """The scan contract on a synthetic monotone delay curve: it
+        probes 1, 2, ... up to the first harmful delay (or the cap) and
+        returns the last harmless one."""
+        from repro.core import mobility as mobility_mod
+        from repro.graphs.builders import chain_graph
 
-        class _Synthetic(MobilityCalculator):
-            def __init__(self, search):
-                super().__init__(
-                    search=search, device=DeviceModel.homogeneous(4, ms(4))
-                )
-                self.probes = 0
+        probes = []
 
-            def delayed_makespan(self, graph, node_id, delay_events):
-                self.probes += 1
-                return 100 if delay_events <= mobility else 101
+        def makespan(runs, forced_delays=None):
+            if not forced_delays:
+                return 100
+            (delay,) = forced_delays.values()
+            probes.append(delay)
+            return 100 if delay <= mobility else 101
 
-        cap = 100
-        fast, literal = _Synthetic("bisect"), _Synthetic("linear")
-        got_fast = fast._task_mobility(None, 0, 100, cap)
-        got_literal = literal._task_mobility(None, 0, 100, cap)
-        assert got_fast == got_literal == min(mobility, cap)
-        assert fast.probes <= 2 * cap.bit_length() + 2  # O(log cap)
-        if mobility >= 8:
-            assert fast.probes < literal.probes
+        monkeypatch.setattr(mobility_mod._IsolatedRuns, "makespan", makespan)
+        graph = chain_graph("SYN", [ms(1), ms(1)])
+        calc = MobilityCalculator(max_mobility=100, device=DeviceModel.homogeneous(4, ms(4)))
+        first, second = graph.reconfiguration_order()
+        assert calc.compute(graph).mobilities == {first: 0, second: min(mobility, 100)}
+        assert probes == list(range(1, min(mobility + 1, 100) + 1))
 
-    def test_reference_memoized_across_compute_calls(self):
-        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
-        graph = benchmark_suite()[0]
-        calc.compute(graph)
-        first = calc.simulations
-        calc.compute(graph)
-        # Second pass reuses the memoized reference schedule (one fewer sim).
-        assert calc.simulations - first == first - 1
+    def test_search_knob_is_gone(self):
+        device = DeviceModel.homogeneous(4, ms(4))
+        for option in ({"search": "linear"}, {"verify": True}, {"memoize_reference": False}):
+            with pytest.raises(TypeError):
+                MobilityCalculator(device=device, **option)
 
-    def test_invalid_search_rejected(self):
-        with pytest.raises(ValueError):
-            MobilityCalculator(
-                search="quantum", device=DeviceModel.homogeneous(4, ms(4))
-            )
+    def test_one_manager_per_graph_and_effective_device(self, monkeypatch):
+        """The production calculator builds one manager per computed
+        table and re-arms it per probe; devices wider than a graph share
+        its table instead of recomputing it."""
+        from repro.core import mobility as mobility_mod
+
+        built = []
+        real = mobility_mod.ExecutionManager
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["device"].n_rus)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mobility_mod, "ExecutionManager", counting)
+        graphs = benchmark_suite()
+        root = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
+        sims = 0
+        for n_rus in (4, 5, 8, 16, 32):
+            calc = root.for_device(DeviceModel.homogeneous(n_rus, ms(4)))
+            calc.compute_tables(graphs)
+            sims += calc.simulations
+        effective = {(g.name, min(r, len(g))) for g in graphs for r in (4, 5, 8, 16, 32)}
+        assert len(built) == len(effective) < 5 * len(graphs)
+        assert max(built) == max(len(g) for g in graphs)
+        assert sims > len(built)  # every other probe re-armed a manager
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the design-time mobility calculation (Fig. 6 / Fig. 7)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.mobility import MobilityCalculator, PurelyRuntimeMobilityAdvisor
 from repro.core.policies.classic import LRUPolicy
@@ -207,3 +209,167 @@ class TestPurelyRuntimeAdvisor:
         advisor._cacheless_decisions = 5
         advisor.reset()
         assert advisor._cacheless_decisions == 0
+
+
+class TestPurelyRuntimeLiteralCost:
+    def test_one_manager_per_counted_simulation(self, monkeypatch):
+        """The comparator pays the literal cost: every probe constructs
+        its own manager on the full device, and nothing is memoized."""
+        from repro.core import mobility as mobility_mod
+        from repro.experiments.hybrid_speedup import _skip_exercising_context
+
+        built = []
+        real = mobility_mod.ExecutionManager
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["device"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mobility_mod, "ExecutionManager", counting)
+        graph = fig3_task_graph_2()
+        device = DeviceModel.homogeneous(16, ms(4))  # wider than the graph
+        advisor = PurelyRuntimeMobilityAdvisor(
+            policy=LocalLFDPolicy(),
+            graphs_by_name={graph.name: graph},
+            device=device,
+        )
+        ctx = _skip_exercising_context(graph.name, graph.reconfiguration_order()[-1])
+        advisor.decide(ctx)
+        per_decision = advisor.calculator.simulations
+        assert per_decision > 1 and len(built) == per_decision
+        advisor.decide(ctx)
+        advisor.decide(ctx)  # no memo: every decision pays the full search
+        assert len(built) == advisor.calculator.simulations == 3 * per_decision
+        assert all(d is device for d in built)
+
+
+class TestDuplicateGraphNames:
+    """Two *different* graphs under one name used to be accepted by
+    ``Workload``; the mobility tables then silently described the first
+    one only, while ``run`` failed in workload compilation."""
+
+    def _clash(self):
+        from repro.graphs.random_graphs import random_layered_graph
+
+        return random_layered_graph("A", 5, seed=1), random_layered_graph("A", 7, seed=2)
+
+    def test_workload_rejects_two_graphs_named_alike(self):
+        from repro.exceptions import WorkloadError
+        from repro.workloads.sequence import Workload
+
+        small, large = self._clash()
+        with pytest.raises(WorkloadError, match="two different graphs named 'A'"):
+            Workload(apps=(small, large), n_rus=8, reconfig_latency=ms(4))
+
+    def test_compute_tables_rejects_two_graphs_named_alike(self):
+        from repro.exceptions import WorkloadError
+
+        small, large = self._clash()
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(8, ms(4)))
+        with pytest.raises(WorkloadError, match="two different graphs named 'A'"):
+            calc.compute_tables([small, large])
+
+    def test_equal_graphs_under_one_name_are_fine(self):
+        from repro.workloads.sequence import Workload
+
+        small, _ = self._clash()
+        twin = small.renamed("A")  # equal content, distinct object
+        workload = Workload(apps=(small, twin), n_rus=8, reconfig_latency=ms(4))
+        assert workload.distinct_graphs() == [small]
+
+
+# ----------------------------------------------------------------------
+# Effective device: a graph alone never uses more RUs than it has tasks
+# ----------------------------------------------------------------------
+def _with_bitstreams(graph, sizes):
+    from dataclasses import replace
+
+    from repro.graphs.task_graph import TaskGraph
+
+    specs = [
+        replace(spec, bitstream_kb=sizes[i % len(sizes)])
+        for i, spec in enumerate(graph)
+    ]
+    return TaskGraph(graph.name, specs, graph.edges)
+
+
+@st.composite
+def _graph_on_wider_device(draw):
+    """A random layered graph of 2-9 tasks (mixed bitstream sizes) and a
+    uniform device with |graph|..|graph|+4 RUs, 1-2 controllers and a
+    fixed or size-proportional latency."""
+    from repro.graphs.random_graphs import random_layered_graph
+    from repro.hw.latency import BitstreamLatency, FixedLatency
+
+    n = draw(st.integers(min_value=2, max_value=9))
+    graph = random_layered_graph(
+        "G", n, seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        low_us=1000, high_us=20000,
+    )
+    sizes = draw(st.lists(st.sampled_from([128, 256, 512, 1024]), min_size=1, max_size=4))
+    graph = _with_bitstreams(graph, sizes)
+    latency = draw(
+        st.sampled_from([FixedLatency(ms(4)), FixedLatency(ms(1)), BitstreamLatency(8)])
+    )
+    device = DeviceModel.homogeneous(
+        n + draw(st.integers(min_value=0, max_value=4)),
+        n_controllers=draw(st.integers(min_value=1, max_value=2)),
+    ).with_latency_model(latency)
+    return graph, device
+
+
+class TestEffectiveDevice:
+    @given(_graph_on_wider_device())
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_table_on_r_rus_equals_table_on_graph_size(self, case):
+        graph, device = case
+        capped = device.with_n_rus(len(graph))
+        literal = MobilityCalculator(memoize=False, device=device).compute_tables([graph])
+        assert literal == MobilityCalculator(memoize=False, device=capped).compute_tables([graph])
+        fast = MobilityCalculator(device=device)
+        assert fast.effective_device(graph) == capped
+        assert fast.compute_tables([graph]) == literal
+
+    @given(_graph_on_wider_device())
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_per_graph_ideal_on_r_rus_equals_ideal_on_graph_size(self, case):
+        from repro.artifacts import graphs_content_key
+        from repro.session import ArtifactCache
+        from repro.sim.simulator import ideal_makespan
+
+        from repro.graphs.analysis import max_concurrent_tasks
+
+        graph, device = case
+        capped = device.with_n_rus(len(graph))
+        assert ideal_makespan([graph], device=device) == ideal_makespan(
+            [graph], device=capped
+        )
+        # The narrowest feasible device first: a cap that is too tight
+        # would serve its value to the wider ones.
+        devices = [device.with_n_rus(max_concurrent_tasks(graph)), device, capped]
+        cache = ArtifactCache()
+        key = graphs_content_key([graph])
+        for each in devices:
+            assert cache.ideal_makespan_us(key, [graph], each) == ideal_makespan(
+                [graph], device=each
+            )
+        assert cache.ideal_stats.computations == len(
+            {min(each.n_rus, len(graph)) for each in devices}
+        )
+
+    def test_mixed_floorplan_never_takes_the_cap(self):
+        """big-little-4 has two slot classes: no resize is canonical, so
+        its tables come from the full device and equal an uncapped,
+        fresh-manager calculator's even for graphs narrower than it."""
+        from repro.graphs.random_graphs import random_layered_graph
+        from repro.hw.presets import make_device
+
+        device = make_device("big-little-4")
+        fast = MobilityCalculator(device=device)
+        literal = MobilityCalculator(memoize=False, device=device)
+        for seed in range(6):
+            graph = _with_bitstreams(
+                random_layered_graph(f"H{seed}", 2 + seed % 2, seed=seed), [256, 768, 128]
+            )
+            assert fast.effective_device(graph) is device
+            assert fast.compute_tables([graph]) == literal.compute_tables([graph])

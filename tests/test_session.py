@@ -209,9 +209,12 @@ class TestArtifactCache:
     def test_ideal_computed_once_per_rus(self, workload):
         session = Session(workload=workload)
         session.sweep(fig9a_specs(), ru_counts=RU_SUBSET)
-        # One zero-latency run per distinct graph and RU count.
-        n_graphs = len(workload.distinct_graphs())
-        assert session.cache.ideal_stats.computations == len(RU_SUBSET) * n_graphs
+        # One zero-latency run per distinct graph and RU count it can
+        # use: alone, a graph never occupies more RUs than it has tasks.
+        effective = {
+            (g, min(r, len(g))) for g in workload.distinct_graphs() for r in RU_SUBSET
+        }
+        assert session.cache.ideal_stats.computations == len(effective)
 
     def test_content_key_ignores_construction_path(self):
         w1 = quick_workload(length=15)
