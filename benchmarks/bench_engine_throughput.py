@@ -18,7 +18,8 @@ Cases (PR-5 acceptance set):
   recorded ``oracle_scaling_ratio`` (events/s at 2000 apps over 1000)
   must stay near 1.0 now that the oracle view is a lazy slice;
 * ``sweep64_cold_s`` / ``sweep64_warm_s`` — a 64-cell
-  ``Session.sweep(parallel=4)``, run twice on one session: the second
+  ``Session.sweep(parallel=SWEEP_PARALLEL)`` (4 workers, capped at the
+  machine's CPU count), run twice on one session: the second
   sweep is the full warm-session path — the session's record memo
   serves every already-finished cell (deterministic sim) over a
   kept-warm executor;
@@ -46,6 +47,7 @@ machines on a common scale.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -89,7 +91,7 @@ SWEEP_SPECS = [
     lfd_spec(),
 ]
 SWEEP_RUS = (4, 5, 6, 7, 8, 9, 10, 11)
-SWEEP_PARALLEL = 4
+SWEEP_PARALLEL = min(4, os.cpu_count() or 1)
 SWEEP_LENGTH = 120
 
 #: Distinct graphs in the ``mobility_catalog_s`` design-time case.

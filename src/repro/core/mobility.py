@@ -54,7 +54,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import SimulationError
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
-from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
+from repro.sim.interface import (
+    Decision,
+    DecisionContext,
+    ReplacementAdvisor,
+    find_candidate,
+)
 from repro.sim.manager import ExecutionManager
 from repro.sim.semantics import ManagerSemantics
 from repro.core.policies.base import ReplacementPolicy
@@ -292,7 +297,7 @@ class PurelyRuntimeMobilityAdvisor(ReplacementAdvisor):
 
     def decide(self, ctx: DecisionContext) -> Decision:
         victim_index = self.policy.select_victim(ctx)
-        victim = next(v for v in ctx.candidates if v.index == victim_index)
+        victim = find_candidate(ctx.candidates, victim_index)
         reusable = victim.config is not None and victim.config in ctx.dl_configs
         if reusable:
             mobility = self._online_mobility(ctx)

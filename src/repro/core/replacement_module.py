@@ -19,10 +19,13 @@ paper's point about performing the bulk of the computations at design time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.policies.base import ReplacementPolicy
-from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
+from repro.sim.interface import (
+    Decision,
+    DecisionContext,
+    ReplacementAdvisor,
+    find_candidate,
+)
 
 
 #: Valid skip decision rules (see :class:`PolicyAdvisor`).
@@ -87,10 +90,16 @@ class PolicyAdvisor(ReplacementAdvisor):
         return Decision.load(victim_index)
 
     def _should_skip(self, ctx: DecisionContext, victim_index: int) -> bool:
-        """Fig. 8 step 4: ``reusable(victim) && mobility > skipped_events``."""
-        victim = next(v for v in ctx.candidates if v.index == victim_index)
-        reusable = victim.config is not None and victim.config in ctx.dl_configs
-        if not (reusable and ctx.mobility > ctx.skipped_events):
+        """Fig. 8 step 4: ``reusable(victim) && mobility > skipped_events``.
+
+        The cheap mobility test runs first; a victim that is not a
+        candidate raises :class:`PolicyError`, as the manager does for a
+        load decision naming one.
+        """
+        if ctx.mobility <= ctx.skipped_events:
+            return False
+        config = find_candidate(ctx.candidates, victim_index).config
+        if config is None or config not in ctx.dl_configs:
             return False
         if self.skip_mode == "prospect":
             return any(cfg not in ctx.dl_configs for cfg in ctx.busy_configs)

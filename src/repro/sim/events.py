@@ -48,7 +48,11 @@ class EventKind(IntEnum):
 
 
 class EventQueue:
-    """Deterministic binary-heap event queue over plain tuples."""
+    """Deterministic binary-heap event queue over plain tuples.
+
+    The manager's event loop pops ``_heap`` directly and keeps
+    ``_last_popped`` current, so a checkpointed queue stays coherent.
+    """
 
     __slots__ = ("_heap", "_seq", "_last_popped")
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
+from repro.exceptions import PolicyError
 from repro.graphs.task import ConfigId, TaskInstance
 from repro.sim.ru import RUView
 from repro.util.slots import add_slots
@@ -34,11 +35,12 @@ class DecisionContext:
     **Validity window.**  A context (and everything reachable from it —
     ``candidates``, ``future_refs``, ``oracle_refs``, ``dl_configs``,
     ``busy_configs``) is valid only for the duration of the ``decide``
-    call it was built for.  The engine reuses scratch carriers and lazy
-    views across decisions for speed, so an advisor must copy anything
-    it wants to keep (``tuple(ctx.future_refs)``,
-    ``frozenset(ctx.dl_configs)``, ...) rather than retain references.
-    None of the built-in policies retain state from the context.
+    call it was built for.  The engine reuses a scratch carrier and lazy
+    views across decisions and hands the live RU objects as candidates,
+    so an advisor must copy anything it wants to keep
+    (``tuple(ctx.future_refs)``, ``frozenset(ctx.dl_configs)``,
+    ``ru.view()``, ...) rather than retain references.  None of the
+    built-in policies retain state from the context.
 
     This frozen dataclass remains the documented field contract (and
     what unit tests construct); the engine's carrier duck-types it.
@@ -50,8 +52,12 @@ class DecisionContext:
     incoming:
         The task instance that must be loaded.
     candidates:
-        Non-empty tuple of evictable RU snapshots (S3-protected RUs are
-        already filtered out), in RU-index order.
+        Non-empty sequence of the evictable RUs (S3-protected RUs are
+        already filtered out, and on mixed floorplans so are slots the
+        incoming bitstream does not fit), in RU-index order.  The engine
+        passes the live :class:`~repro.sim.ru.RU` objects, which offer
+        every :class:`RUView` field: read them, never mutate them, and
+        only during this ``decide`` call.
     future_refs:
         The window-limited future reference string: configurations of the
         not-yet-dispatched tasks, in reconfiguration-sequence order, for
@@ -78,7 +84,7 @@ class DecisionContext:
 
     now: int
     incoming: TaskInstance
-    candidates: Tuple[RUView, ...]
+    candidates: Sequence[RUView]
     future_refs: Tuple[ConfigId, ...]
     oracle_refs: Optional[Tuple[ConfigId, ...]]
     dl_configs: FrozenSet[ConfigId]
@@ -119,6 +125,17 @@ class Decision:
 _INTERNED_LOADS: Tuple[Decision, ...] = tuple(
     Decision(victim_index=i, skip=False) for i in range(64)
 )
+
+
+def find_candidate(candidates: Sequence[RUView], index: Optional[int]) -> RUView:
+    """The candidate on RU ``index``; :class:`PolicyError` when none is."""
+    for ru in candidates:
+        if ru.index == index:
+            return ru
+    raise PolicyError(
+        f"advisor chose RU{index}, not a candidate "
+        f"(candidates: {[ru.index for ru in candidates]})"
+    )
 
 
 def noop_hook(fn):

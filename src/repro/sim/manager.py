@@ -39,10 +39,14 @@ Hot-loop engineering (see docs/performance.md): the Dynamic-List window
 handed to policies is maintained *incrementally* as the dispatch pointer
 and clock advance (O(1) amortised per decision instead of rescanning the
 remaining sequence), the oracle view is a lazy slice of the precompiled
-flat reference string, decision contexts and RU snapshots are per-manager
-scratch structures reused across decisions, and free RUs / ready
-executions / busy configurations are tracked in dedicated collections so
-no per-event full-device scan remains.  Runtime bookkeeping is columnar:
+flat reference string, the decision context is a per-manager scratch
+carrier reused across decisions and its candidates are the live RU
+objects, and free RUs / ready executions / busy configurations are
+tracked in dedicated collections so no per-event full-device scan
+remains.  The event loop pops the heap itself, RU state transitions are
+applied inline (an illegal state still raises through the RU method),
+and a free-RU load and an eviction share one load block.  Runtime
+bookkeeping is columnar:
 all per-node, per-config and per-RU mutable state lives in the flat
 integer columns of :class:`~repro.sim.columns.EngineState`, preallocated
 once from the compiled workload — the event loop indexes lists by the
@@ -64,7 +68,12 @@ from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
 from repro.sim.columns import NO_INDEX, EngineState
 from repro.sim.events import EventKind, EventQueue
-from repro.sim.interface import Decision, ReplacementAdvisor, resolve_hook
+from repro.sim.interface import (
+    Decision,
+    ReplacementAdvisor,
+    find_candidate,
+    resolve_hook,
+)
 from repro.sim.ru import RU, RUState
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.tracing import (
@@ -101,6 +110,10 @@ _RECONF = int(EventKind.END_OF_RECONFIGURATION)
 _ARRIVAL = int(EventKind.APP_ARRIVAL)
 
 _LOADED = RUState.LOADED
+_RECONFIGURING = RUState.RECONFIGURING
+_EXECUTING = RUState.EXECUTING
+#: RU states a load may not start in (nor a reuse claim).
+_BUSY = (_RECONFIGURING, _EXECUTING)
 
 
 class _AppRun:
@@ -129,28 +142,6 @@ class _AppRun:
 
     def complete(self) -> bool:
         return self._state.unfinished[self.index] == 0
-
-
-class _ScratchRUView:
-    """Mutable RU snapshot reused across decisions (duck-types ``RUView``).
-
-    One instance exists per RU per manager; its volatile fields are
-    refreshed right before each replacement decision.  Policies must not
-    retain references across ``decide`` calls (none of the registered
-    policies do — the decision context is documented as valid for the
-    duration of one decision).
-    """
-
-    __slots__ = ("index", "config", "state", "last_use", "load_end", "kind", "capacity_kb")
-
-    def __init__(self, index: int, kind: str, capacity_kb: Optional[int]) -> None:
-        self.index = index
-        self.config: Optional[ConfigId] = None
-        self.state = RUState.EMPTY
-        self.last_use = 0
-        self.load_end = 0
-        self.kind = kind
-        self.capacity_kb = capacity_kb
 
 
 class _ScratchContext:
@@ -297,11 +288,6 @@ class ExecutionManager:
         # bounds are refreshed per decision (valid for one decision only).
         self._future_view = RefsView(compiled.flat_configs, 0, 0)
         self._oracle_view = RefsView(compiled.flat_configs, 0, 0)
-        self._cand_scratch: List[_ScratchRUView] = []
-        self._views: List[_ScratchRUView] = [
-            _ScratchRUView(i, device.slots[i].kind, device.slots[i].capacity_kb)
-            for i in range(device.n_rus)
-        ]
         #: Per distinct graph: mobility per rec-order position (or None).
         tables = self.mobility_tables
         self._mobility_by_graph: List[Optional[Tuple[int, ...]]] = [
@@ -659,20 +645,24 @@ class ExecutionManager:
         ckpt_write = self._checkpoint_write
         guard = 0
         guard_limit = 1000 * self.compiled.n_tasks + 10_000
+        # Pop the heap directly; ``_last_popped`` is kept current so the
+        # queue (the checkpointed object) still rejects backwards pushes.
         queue = self.queue
-        pop = queue.pop
+        heap = queue._heap
+        heappop = heapq.heappop
         handle_exec = self._handle_end_of_execution
         handle_reconf = self._handle_end_of_reconfiguration
+        clock = self.clock
         while True:
-            while queue:
-                time_, kind, _seq, payload = pop()
-                if time_ < self.clock:  # pragma: no cover - defensive
+            while heap:
+                time_, kind, _seq, payload = heappop(heap)
+                if time_ < clock:  # pragma: no cover - defensive
                     raise SimulationError("event queue went backwards in time")
-                self.clock = time_
+                queue._last_popped = self.clock = clock = time_
                 if kind == _EXEC:
-                    handle_exec(payload[0], payload[1])
+                    handle_exec(*payload)
                 elif kind == _RECONF:
-                    handle_reconf(payload[0], payload[1], payload[2], payload[3])
+                    handle_reconf(*payload)
                 elif kind == _ARRIVAL:
                     self._dispatch_and_start()
                 else:  # pragma: no cover - defensive
@@ -727,20 +717,27 @@ class ExecutionManager:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
+    # RU transitions are applied inline; on an illegal state the RU's own
+    # transition method is called so it raises its SimulationError.
     def _handle_end_of_execution(self, ru_index: int, instance: TaskInstance) -> None:
+        clock = self.clock
         ru = self.rus[ru_index]
-        finished = ru.finish_execution(self.clock)
-        if finished is not instance:  # pragma: no cover - defensive
-            raise SimulationError("execution bookkeeping mismatch")
+        if ru.state is not _EXECUTING or ru.pending is not instance:
+            ru.finish_execution(clock)
+            raise SimulationError("execution bookkeeping mismatch")  # pragma: no cover
+        ru.pending = None
+        ru.pending_reused = False
+        ru.state = _LOADED
+        ru.last_use = clock
         config = instance.config
         self._busy_cfgs.discard(config)
+        da = instance.app_index
         em = self._emit_exec_end
         if em is not None:
-            em(self.clock, ru_index, config, instance.app_index)
+            em(clock, ru_index, config, da)
         if self._notify_exec_end is not None:
-            self._notify_exec_end(ru_index, config, self.clock)
+            self._notify_exec_end(ru_index, config, clock)
 
-        da = instance.app_index
         unfinished = self._unfinished
         left = unfinished[da] - 1
         unfinished[da] = left
@@ -757,7 +754,7 @@ class ExecutionManager:
             self.state.apps_left -= 1
             em = self._emit_app_completed
             if em is not None:
-                em(self.clock, da)
+                em(clock, da)
             self._activate_next_app()
         self._try_dispatch()
         self._start_ready_executions()
@@ -765,8 +762,13 @@ class ExecutionManager:
     def _handle_end_of_reconfiguration(
         self, ru_index: int, instance: TaskInstance, controller: int, latency: int
     ) -> None:
+        clock = self.clock
         ru = self.rus[ru_index]
-        ru.finish_load(self.clock)
+        if ru.state is not _RECONFIGURING:
+            ru.finish_load(clock)
+        ru.state = _LOADED
+        ru.load_end = clock
+        ru.last_use = clock
         bisect.insort(self._free_controllers, controller)
         config = instance.config
         self._busy_cfgs.discard(config)
@@ -777,9 +779,9 @@ class ExecutionManager:
             bisect.insort(self._parked.setdefault(app_index, []), ru_index)
         em = self._emit_reconfig_end
         if em is not None:
-            em(self.clock, ru_index, config, instance.app_index, controller, latency)
+            em(clock, ru_index, config, app_index, controller, latency)
         if self._notify_load is not None:
-            self._notify_load(ru_index, config, self.clock)
+            self._notify_load(ru_index, config, clock)
         self._try_dispatch()
         self._start_ready_executions()
 
@@ -810,22 +812,6 @@ class ExecutionManager:
         self._try_dispatch()
         self._start_ready_executions()
 
-    def _head_instance(self, da: int, pos: int) -> TaskInstance:
-        """The head task instance, cached per dispatch position (skips and
-        stalled attempts revisit the same head many times)."""
-        if self._head_da == da and self._head_dp == pos:
-            return self._head_obj  # type: ignore[return-value]
-        capp = self._app_capps[da]
-        instance = TaskInstance(
-            app_index=da,
-            config=capp.rec_configs[pos],
-            exec_time=capp.rec_exec_times[pos],
-        )
-        self._head_da = da
-        self._head_dp = pos
-        self._head_obj = instance
-        return instance
-
     def _try_dispatch(self) -> None:
         """Process the reconfiguration sequence while progress is possible.
 
@@ -833,36 +819,38 @@ class ExecutionManager:
         (Fig. 4 lines 3/9/12) until every controller is busy, the sequence
         is exhausted/stalled, or a skip-event defers the head.
         """
-        if not self._free_controllers:
+        free_controllers = self._free_controllers
+        if not free_controllers:
             return
+        clock = self.clock
         rus = self.rus
         n_apps = self._n_apps
         ntasks = self._app_ntasks
         capps = self._app_capps
-        arrivals = self._arrivals
+        cur = self._current_app
         offsets = self.compiled.app_offsets
-        lookahead = self._lookahead
         uniform = self._uniform_slots
-        fast_kb = uniform and self._fixed_latency is not None
+        fixed_latency = self._fixed_latency
+        fast_kb = uniform and fixed_latency is not None
         loc = self._loc
+        ru_cid = self._ru_cid
+        ru_app = self._ru_app
+        ru_flat = self._ru_flat
+        push = self._push
+        da = self._dispatch_app
+        dp = self._dispatch_pos
         idle_skips = 0
-        while True:
-            if not self._free_controllers:
-                return
+        while free_controllers:
             # Advance the dispatch pointer past exhausted applications.
-            da = self._dispatch_app
-            dp = self._dispatch_pos
             while da < n_apps and dp >= ntasks[da]:
                 da += 1
                 dp = 0
-            self._dispatch_app = da
-            self._dispatch_pos = dp
+                self._dispatch_app = da
+                self._dispatch_pos = 0
             if da >= n_apps:
                 return
             # Visibility: arrived and within the Dynamic-List lookahead.
-            if arrivals[da] > self.clock:
-                return
-            if da - self._current_app > lookahead:
+            if self._arrivals[da] > clock or da - cur > self._lookahead:
                 return
             capp = capps[da]
 
@@ -875,105 +863,141 @@ class ExecutionManager:
                     self._forced_delays[delay_key] = budget - 1
                     return
 
+            # The head task instance, cached per dispatch position (skips
+            # and stalled attempts revisit the same head many times).
+            if self._head_dp == dp and self._head_da == da:
+                instance = self._head_obj
+            else:
+                instance = TaskInstance(
+                    da, capp.rec_configs[dp], capp.rec_exec_times[dp]
+                )
+                self._head_da = da
+                self._head_dp = dp
+                self._head_obj = instance
+            config = instance.config
             cid = capp.rec_cids[dp]
             ru_index = loc[cid]
             if ru_index >= 0:
                 ru = rus[ru_index]
-                instance = self._head_instance(da, dp)
-                if ru.config != instance.config:  # pragma: no cover - defensive
+                if ru.config != config:  # pragma: no cover - defensive
                     raise SimulationError("location map out of sync")
-                if ru.pending is not None or ru.state in (
-                    RUState.RECONFIGURING,
-                    RUState.EXECUTING,
-                ):
+                state = ru.state
+                if ru.pending is not None or state in _BUSY:
                     # Config exists but is claimed/busy for an earlier
                     # instance; wait for it to free up.
                     return
-                if da != self._current_app and self._stall_loaded:
+                if da != cur and self._stall_loaded:
                     # S2: future reuse consumed only on activation.
                     return
-                ru.claim_reuse(instance)
-                self._ru_app[ru_index] = da
-                self._ru_flat[ru_index] = offsets[da] + dp
-                if da == self._current_app:
+                if state is not _LOADED:  # pragma: no cover - defensive
+                    ru.claim_reuse(instance)
+                ru.pending = instance
+                ru.pending_reused = True
+                ru_app[ru_index] = da
+                ru_flat[ru_index] = offsets[da] + dp
+                if da == cur:
                     bisect.insort(self._ready, ru_index)
                 else:
                     bisect.insort(self._parked.setdefault(da, []), ru_index)
-                self._advance_head()
+                dp += 1
+                self._dispatch_pos = dp
                 em = self._emit_reuse
                 if em is not None:
-                    em(self.clock, ru_index, instance.config, da)
+                    em(clock, ru_index, config, da)
                 if self._notify_reuse is not None:
-                    self._notify_reuse(ru_index, instance.config, self.clock)
+                    self._notify_reuse(ru_index, config, clock)
                 continue
 
             # Configuration absent: a reconfiguration is required.
-            is_future = da != self._current_app
+            is_future = da != cur
             if is_future and self._cap_isolated:
                 return
             kb = 0 if fast_kb else capp.rec_bitstreams[dp]
-            free = self._claim_free_ru(kb)
-            if free is not None:
-                self._begin_load(
-                    free, self._head_instance(da, dp), cid, offsets[da] + dp
-                )
-                continue
-            if is_future and self._cap_free_only:
-                return
-
-            # Replacement candidates, filtered to slots the incoming
-            # bitstream fits (on uniform floorplans the filter is a no-op).
-            candidates = self._cand_scratch
-            candidates.clear()
-            views = self._views
-            for ru in rus:
-                if ru.state is _LOADED and ru.pending is None and (
-                    uniform or ru.fits(kb)
-                ):
-                    view = views[ru.index]
-                    view.config = ru.config
-                    view.state = _LOADED
-                    view.last_use = ru.last_use
-                    view.load_end = ru.load_end
-                    candidates.append(view)
-            if not candidates:
-                return
-            instance = self._head_instance(da, dp)
-            ctx = self._build_context(instance, candidates, da, dp)
-            decision = self.advisor.decide(ctx)
-            if decision.skip:
-                self.skipped_events[da] = ctx.skipped_events + 1
-                # Validates the advisor's named victim even when no sink
-                # listens for Skip events.
-                victim_cfg = self._skip_victim_config(ctx, decision)
-                em = self._emit_skip
-                if em is not None:
-                    em(
-                        self.clock,
-                        da,
-                        instance.config,
-                        victim_cfg,
-                        ctx.skipped_events + 1,
+            free_rus = self._free_rus
+            if not free_rus:
+                ru = None
+            elif uniform:
+                ru = rus[heapq.heappop(free_rus)]
+            else:
+                ru = self._claim_free_ru(kb)
+            if ru is None:
+                if is_future and self._cap_free_only:
+                    return
+                # Replacement candidates: the live LOADED, unclaimed RUs in
+                # index order, filtered to slots the incoming bitstream
+                # fits (on uniform floorplans the filter is a no-op).
+                if uniform:
+                    candidates = [
+                        ru for ru in rus if ru.pending is None and ru.state is _LOADED
+                    ]
+                else:
+                    candidates = [
+                        ru for ru in rus
+                        if ru.pending is None and ru.state is _LOADED and ru.fits(kb)
+                    ]
+                if not candidates:
+                    return
+                ctx = self._build_context(instance, candidates, da, dp)
+                decision = self.advisor.decide(ctx)
+                if decision.skip:
+                    self.skipped_events[da] = ctx.skipped_events + 1
+                    # Validates the advisor's named victim even when no sink
+                    # listens for Skip events.
+                    victim_cfg = self._skip_victim_config(ctx, decision)
+                    em = self._emit_skip
+                    if em is not None:
+                        em(clock, da, config, victim_cfg, ctx.skipped_events + 1)
+                    if self._idle_stall and not self.queue:
+                        # Stall recovery (see _break_idle_skip_stall): the
+                        # skip was emitted and counted, but no future event
+                        # exists to revisit it — decide again immediately.
+                        idle_skips += 1
+                        if idle_skips > 10_000:
+                            raise SimulationError(
+                                "advisor keeps skipping on an idle device "
+                                f"(app {da}, {config}); "
+                                "a skip rule must be bounded by the mobility budget"
+                            )
+                        continue
+                    return
+                if decision.victim_index is None:
+                    raise PolicyError(
+                        "advisor returned a load decision without a victim"
                     )
-                if self._idle_stall and not self.queue:
-                    # Stall recovery (see _break_idle_skip_stall): the
-                    # skip was emitted and counted, but no future event
-                    # exists to revisit it — decide again immediately.
-                    idle_skips += 1
-                    if idle_skips > 10_000:
-                        raise SimulationError(
-                            "advisor keeps skipping on an idle device "
-                            f"(app {da}, {instance.config}); "
-                            "a skip rule must be bounded by the mobility budget"
-                        )
-                    continue
-                return
-            victim = self._validate_victim(decision, candidates)
-            em = self._emit_eviction
+                ru = find_candidate(candidates, decision.victim_index)
+                em = self._emit_eviction
+                if em is not None:
+                    em(clock, ru.index, ru.config, config, da)
+
+            # The load block (free RU or victim): begin_load, inline.
+            if ru.pending is not None or ru.state in _BUSY:
+                ru.begin_load(instance, clock)
+            ru_index = ru.index
+            old_cid = ru_cid[ru_index]
+            if old_cid >= 0:
+                loc[old_cid] = NO_INDEX
+            ru.state = _RECONFIGURING
+            ru.config = config
+            ru.pending = instance
+            ru.pending_reused = False
+            loc[cid] = ru_index
+            ru_cid[ru_index] = cid
+            ru_app[ru_index] = da
+            ru_flat[ru_index] = offsets[da] + dp
+            self._busy_cfgs.add(config)
+            controller = free_controllers.pop(0)
+            latency = (
+                fixed_latency
+                if fixed_latency is not None
+                else self._cost_by_cid[cid]  # type: ignore[index]
+            )
+            end = clock + latency
+            em = self._emit_reconfig_start
             if em is not None:
-                em(self.clock, victim.index, victim.config, instance.config, da)
-            self._begin_load(rus[victim.index], instance, cid, offsets[da] + dp)
-            continue
+                em(clock, ru_index, config, da, end, controller)
+            dp += 1
+            self._dispatch_pos = dp
+            push(end, _RECONF, (ru_index, instance, controller, latency))
 
     def _skip_victim_config(self, ctx, decision: Decision) -> ConfigId:
         """Which configuration did this skip protect?
@@ -986,63 +1010,12 @@ class ExecutionManager:
         holding a Dynamic-List configuration.
         """
         if decision.victim_index is not None:
-            for view in ctx.candidates:
-                if view.index == decision.victim_index:
-                    return view.config  # type: ignore[return-value]
-            raise PolicyError(
-                f"skip decision names RU{decision.victim_index}, not a candidate "
-                f"(candidates: {[v.index for v in ctx.candidates]})"
-            )
-        for view in ctx.candidates:
-            if view.config in ctx.dl_configs:
-                return view.config  # type: ignore[return-value]
+            victim = find_candidate(ctx.candidates, decision.victim_index)
+            return victim.config  # type: ignore[return-value]
+        for ru in ctx.candidates:
+            if ru.config in ctx.dl_configs:
+                return ru.config  # type: ignore[return-value]
         return ctx.candidates[0].config  # type: ignore[return-value]
-
-    def _validate_victim(self, decision: Decision, candidates) -> "_ScratchRUView":
-        if decision.victim_index is None:
-            raise PolicyError("advisor returned a load decision without a victim")
-        for view in candidates:
-            if view.index == decision.victim_index:
-                return view
-        raise PolicyError(
-            f"advisor chose RU{decision.victim_index}, not a candidate "
-            f"(candidates: {[v.index for v in candidates]})"
-        )
-
-    def _begin_load(
-        self, ru: RU, instance: TaskInstance, cid: int, flat: int
-    ) -> None:
-        if not self._free_controllers:  # pragma: no cover - defensive
-            raise SimulationError("every reconfiguration controller is busy")
-        ru_index = ru.index
-        old_cid = self._ru_cid[ru_index]
-        if old_cid >= 0:
-            self._loc[old_cid] = NO_INDEX
-        ru.begin_load(instance, self.clock)
-        self._loc[cid] = ru_index
-        self._ru_cid[ru_index] = cid
-        self._ru_app[ru_index] = instance.app_index
-        self._ru_flat[ru_index] = flat
-        self._busy_cfgs.add(instance.config)
-        controller = self._free_controllers.pop(0)
-        latency = (
-            self._fixed_latency
-            if self._fixed_latency is not None
-            else self._cost_by_cid[cid]  # type: ignore[index]
-        )
-        end = self.clock + latency
-        em = self._emit_reconfig_start
-        if em is not None:
-            em(self.clock, ru_index, instance.config, instance.app_index, end, controller)
-        self._advance_head()
-        self._push(
-            end,
-            EventKind.END_OF_RECONFIGURATION,
-            (ru_index, instance, controller, latency),
-        )
-
-    def _advance_head(self) -> None:
-        self._dispatch_pos += 1
 
     # ------------------------------------------------------------------
     # Execution starts (Fig. 4 lines 6-7 and 15-19)
@@ -1070,40 +1043,32 @@ class ExecutionManager:
                 continue
             del ready[i]
             ru = rus[ru_index]
-            reused = ru.pending_reused
-            instance = ru.start_execution(clock)
-            self._busy_cfgs.add(instance.config)
+            instance = ru.pending
+            if ru.state is not _LOADED or instance is None:
+                ru.start_execution(clock)
+            ru.state = _EXECUTING
+            config = instance.config
+            self._busy_cfgs.add(config)
             end = clock + instance.exec_time
-            emit_start = self._emit_exec_start
-            if emit_start is not None:
-                emit_start(
-                    clock,
-                    ru_index,
-                    instance.config,
-                    instance.app_index,
-                    end,
-                    reused,
-                    self._load_cost_for_ru(ru_index),
-                )
+            em = self._emit_exec_start
+            if em is not None:
+                load_us = self._fixed_latency
+                if load_us is None:
+                    load_us = self._cost_by_cid[self._ru_cid[ru_index]]  # type: ignore[index]
+                em(clock, ru_index, config, instance.app_index, end,
+                   ru.pending_reused, load_us)
             if notify is not None:
-                notify(ru_index, instance.config, clock)
-            self._push(end, EventKind.END_OF_EXECUTION, (ru_index, instance))
+                notify(ru_index, config, clock)
+            self._push(end, _EXEC, (ru_index, instance))
 
-    # ------------------------------------------------------------------
-    # Device-model lookups (short-circuited on the homogeneous fast path)
-    # ------------------------------------------------------------------
     def _claim_free_ru(self, bitstream_kb: int) -> Optional[RU]:
         """Pop the lowest-index free RU whose slot fits the bitstream.
 
-        Free RUs live in a min-heap (RUs never return to EMPTY, so the
-        structure only drains): the uniform-floorplan claim is one
-        O(log n) pop instead of an O(n) scan over the device.
+        Mixed floorplans only: free RUs live in a min-heap (RUs never
+        return to EMPTY, so the structure only drains), and on a uniform
+        floorplan the claim is one O(log n) pop in the dispatch loop.
         """
         free = self._free_rus
-        if not free:
-            return None
-        if self._uniform_slots:
-            return self.rus[heapq.heappop(free)]
         rejected: List[int] = []
         found: Optional[RU] = None
         while free:
@@ -1117,20 +1082,13 @@ class ExecutionManager:
             heapq.heappush(free, index)
         return found
 
-    def _load_cost_for_ru(self, ru_index: int) -> int:
-        """Load latency (µs) of the configuration resident on ``ru_index``."""
-        if self._fixed_latency is not None:
-            return self._fixed_latency
-        cid = self._ru_cid[ru_index]
-        return self._cost_by_cid[cid]  # type: ignore[index]
-
     # ------------------------------------------------------------------
     # Decision context (incremental Dynamic-List window)
     # ------------------------------------------------------------------
     def _build_context(
         self,
         instance: TaskInstance,
-        candidates: List[_ScratchRUView],
+        candidates: List[RU],
         da: int,
         dp: int,
     ):

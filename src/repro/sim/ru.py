@@ -64,7 +64,14 @@ class RUView:
 
 
 class RU:
-    """Mutable runtime state of one reconfigurable unit."""
+    """Mutable runtime state of one reconfigurable unit.
+
+    The manager hands live RUs to the replacement module as decision
+    candidates, so an RU offers every :class:`RUView` field.  The
+    manager applies the transitions below inline and calls a method only
+    on an illegal state, so it raises that method's
+    :class:`SimulationError`.
+    """
 
     __slots__ = (
         "index",
@@ -164,6 +171,16 @@ class RU:
     @property
     def is_free(self) -> bool:
         return self.state is RUState.EMPTY
+
+    @property
+    def kind(self) -> str:
+        """Slot class (an :class:`RUView` field: RUs are passed as candidates)."""
+        return self.slot.kind
+
+    @property
+    def capacity_kb(self) -> Optional[int]:
+        """Slot capacity (an :class:`RUView` field)."""
+        return self.slot.capacity_kb
 
     def fits(self, bitstream_kb: int) -> bool:
         """Can this RU's slot hold a bitstream of the given size?"""

@@ -5,8 +5,8 @@ Three layers of pinning, per the repo's equivalence convention
 
 1. **Decision-context equivalence** — on every replacement decision, the
    incrementally-maintained Dynamic-List window, the lazy oracle view,
-   the window membership set, the busy set and the scratch candidate
-   snapshots are compared against a literal re-derivation from manager
+   the window membership set, the busy set and the live candidate RUs
+   are compared against a literal re-derivation from manager
    state (a reimplementation of the pre-compiled-engine ``_future_refs``
    full rescan), across every registered scenario.
 2. **Event-stream equivalence** — for every scenario × every registry

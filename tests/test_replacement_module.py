@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.core.mobility import MobilityCalculator, PurelyRuntimeMobilityAdvisor
 from repro.core.policies.classic import LRUPolicy
 from repro.core.policies.lfd import LocalLFDPolicy
 from repro.core.replacement_module import PolicyAdvisor, make_advisor
+from repro.exceptions import PolicyError
 from repro.graphs.task import ConfigId, TaskInstance
-from repro.sim.interface import DecisionContext
+from repro.hw.model import DeviceModel
+from repro.sim.interface import Decision, DecisionContext
 from repro.sim.ru import RUState, RUView
+from repro.sim.simulator import run_simulation
+from repro.workloads.scenarios import quick_workload
 
 
 def view(index, name="G", node=0, last_use=0):
@@ -133,3 +138,63 @@ class TestFactoryAndDescribe:
         spy = Spy()
         PolicyAdvisor(spy).reset()
         assert spy.resets == 1
+
+
+class _RogueVictim(LRUPolicy):
+    """Names an RU that is never a candidate."""
+
+    def select_victim(self, ctx):
+        return 99
+
+
+class TestNonCandidateVictim:
+    """A policy naming a non-candidate RU gets the same PolicyError with
+    and without skip events (it used to leak a bare StopIteration from
+    the skip rule)."""
+
+    MESSAGE = r"advisor chose RU99, not a candidate \(candidates: \[0\]\)"
+
+    @pytest.mark.parametrize("skip_events", [False, True])
+    def test_decide(self, skip_events):
+        advisor = PolicyAdvisor(_RogueVictim(), skip_events=skip_events)
+        reusable = view(0)
+        context = ctx([reusable], future=[reusable.config], mobility=3)
+        if skip_events:
+            with pytest.raises(PolicyError, match=self.MESSAGE):
+                advisor.decide(context)
+        else:
+            assert advisor.decide(context).victim_index == 99
+
+    def test_cacheless_comparator(self):
+        advisor = PurelyRuntimeMobilityAdvisor(
+            _RogueVictim(), {}, device=DeviceModel.homogeneous(4, 4000)
+        )
+        with pytest.raises(PolicyError, match=self.MESSAGE):
+            advisor.decide(ctx([view(0)], mobility=3))
+
+    def test_skip_naming_a_non_candidate(self):
+        class RogueSkip(PolicyAdvisor):
+            def decide(self, ctx):
+                return Decision.skip_event(99)
+
+        workload = quick_workload(length=12)
+        with pytest.raises(PolicyError, match="advisor chose RU99, not a candidate"):
+            run_simulation(
+                workload.apps,
+                advisor=RogueSkip(LRUPolicy()),
+                device=workload.device,
+            )
+
+    @pytest.mark.parametrize("skip_events", [False, True])
+    def test_run(self, skip_events):
+        workload = quick_workload(length=12)
+        tables = MobilityCalculator(device=workload.device).compute_tables(
+            workload.distinct_graphs()
+        )
+        with pytest.raises(PolicyError, match="advisor chose RU99, not a candidate"):
+            run_simulation(
+                workload.apps,
+                advisor=PolicyAdvisor(_RogueVictim(), skip_events=skip_events),
+                mobility_tables=tables,
+                device=workload.device,
+            )

@@ -8,10 +8,12 @@ backoff into ``done`` or park in the terminal ``dead`` state, and every
 injected fault is deterministic under a seeded :class:`FaultPlan`.
 """
 
+import contextlib
 import http.client
 import multiprocessing
 import pickle
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,7 @@ from repro.client import RemoteJobError, ReproClient
 from repro.core.policy_spec import lru_spec, named_policy_spec
 from repro.exceptions import ExperimentError, ReproError, SimulationError
 from repro.hw.model import DeviceModel
+from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience import (
     CheckpointError,
     CrashSink,
@@ -250,6 +253,22 @@ def _trace_blob(trace):
     )
 
 
+@contextlib.contextmanager
+def _resume_log():
+    """Record ``(resumed, events_done)`` for each store-path resume attempt;
+    ``events_done`` is the restored manager's event count (0 when fresh)."""
+    log = []
+    real = checkpoint_module.resume_from_store
+
+    def spy(manager, store, key):
+        resumed = real(manager, store, key)
+        log.append((resumed, manager._events_done))
+        return resumed
+
+    with mock.patch.object(checkpoint_module, "resume_from_store", spy):
+        yield log
+
+
 @pytest.fixture(scope="module")
 def golden():
     workload = quick_workload(length=12)
@@ -273,16 +292,21 @@ class TestCheckpointResume:
                     extra_sinks=[_BoomSink(60)],
                 )
             assert store.exists("checkpoint", key)
+            saved = store.load("checkpoint", key, decode_checkpoint)["events_done"]
             _BoomSink.armed = False
-            resumed = _simulate(
-                workload,
-                checkpoint_every=16,
-                checkpoint_store=store,
-                checkpoint_key=key,
-                extra_sinks=[_BoomSink(60)],
-            )
+            with _resume_log() as log:
+                resumed = _simulate(
+                    workload,
+                    checkpoint_every=16,
+                    checkpoint_store=store,
+                    checkpoint_key=key,
+                    extra_sinks=[_BoomSink(60)],
+                )
         finally:
             _BoomSink.armed = True
+        # The run restored the checkpoint instead of silently starting fresh.
+        assert saved > 0
+        assert log == [(True, saved)]
         assert _trace_blob(resumed.trace) == blob
         assert resumed.makespan_us == makespan
         # A completed run cleans its checkpoint up.
@@ -446,14 +470,22 @@ class TestCheckpointResume:
                     extra_sinks=[_BoomSink(boom)],
                 )
             except _Interrupt:
+                payload = store.load("checkpoint", key, decode_checkpoint)
                 _BoomSink.armed = False
-                result = _simulate(
-                    workload,
-                    checkpoint_every=every,
-                    checkpoint_store=store,
-                    checkpoint_key=key,
-                    extra_sinks=[_BoomSink(boom)],
-                )
+                with _resume_log() as log:
+                    result = _simulate(
+                        workload,
+                        checkpoint_every=every,
+                        checkpoint_store=store,
+                        checkpoint_key=key,
+                        extra_sinks=[_BoomSink(boom)],
+                    )
+                # A crash before the first checkpoint legitimately starts
+                # fresh; otherwise the run resumed from the saved cut.
+                if payload is None:
+                    assert log == [(False, 0)]
+                else:
+                    assert log == [(True, payload["events_done"])]
         finally:
             _BoomSink.armed = True
         assert _trace_blob(result.trace) == blob
