@@ -13,6 +13,10 @@ Cases (PR-5 acceptance set):
   :class:`Session` (the original bench case);
 * ``huge_stream_1000_window`` / ``huge_stream_5000_window`` — the
   window-limited hot path at streaming scale, aggregate trace;
+* ``huge_stream_1000_observed`` — the 1000-app case with one hook-only
+  counting sink attached, the shape of every ``repro serve`` job: a
+  second sink must cost a per-kind fan-out, never a fallback to
+  building event objects;
 * ``oracle_1000`` / ``oracle_2000`` — the clairvoyant-LFD path that used
   to rescan the whole remaining sequence per decision (quadratic); the
   recorded ``oracle_scaling_ratio`` (events/s at 2000 apps over 1000)
@@ -57,6 +61,7 @@ from repro.graphs.multimedia import benchmark_suite
 from repro.graphs.random_graphs import random_layered_graph
 from repro.session import Session
 from repro.sim.simulator import run_simulation
+from repro.sim.tracing import SCALAR_HOOK_KEYS, TraceSink
 from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.scenarios import make_scenario, paper_evaluation_workload
 from repro.hw.model import DeviceModel
@@ -111,7 +116,20 @@ def calibrate(n: int = 200_000) -> float:
     return n / elapsed
 
 
-def _engine_run(workload, spec, trace, compiled):
+class _CountingHookSink(TraceSink):
+    """Counts every event through the per-kind hooks (no event objects)."""
+
+    def __init__(self) -> None:
+        self.n_events = 0
+
+    def scalar_hooks(self):
+        return dict.fromkeys((key for key, _ in SCALAR_HOOK_KEYS), self._count)
+
+    def _count(self, *fields) -> None:
+        self.n_events += 1
+
+
+def _engine_run(workload, spec, trace, compiled, make_sinks=tuple):
     best = None
     events = 0
     for _ in range(REPEATS):
@@ -124,6 +142,7 @@ def _engine_run(workload, spec, trace, compiled):
             trace=trace,
             compiled=compiled,
             device=workload.device,
+            extra_sinks=make_sinks(),
         )
         wall = time.perf_counter() - t0
         assert result.trace.n_executions == workload.n_tasks
@@ -166,6 +185,11 @@ def test_engine_throughput_suite():
         cases[f"huge_stream_{length}_window"] = _engine_run(
             w, local_lfd_spec(1), "aggregate", compiled
         )
+        if length == 1000:
+            cases["huge_stream_1000_observed"] = _engine_run(
+                w, local_lfd_spec(1), "aggregate", compiled,
+                make_sinks=lambda: (_CountingHookSink(),),
+            )
 
     # Oracle (whole-remaining-sequence) policy: the formerly quadratic path.
     for length in (1000, 2000):

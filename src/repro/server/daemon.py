@@ -65,23 +65,30 @@ from repro.server.jobs import (
     parse_job_spec,
 )
 from repro.session import ArtifactCache, Session, SessionHooks
-from repro.sim.tracing import JsonlTraceWriter, TraceSink
+from repro.sim.tracing import SCALAR_HOOK_KEYS, JsonlTraceWriter, TraceSink
 from repro.workloads.scenarios import make_scenario
 
 
 class _CancelSink(TraceSink):
     """Aborts an in-flight simulation once its job was cancelled.
 
-    Attached to every job's event stream; checking a ``threading.Event``
-    every 256 events keeps the cost invisible while bounding the
-    cancellation latency to a fraction of a millisecond of simulation.
+    Attached to every job's event stream as a hook-only sink: one
+    counter tick per event of every kind, and a look at the job's
+    ``threading.Event`` every 256 events, bounding the cancellation
+    latency to a fraction of a millisecond of simulation.  The cost is
+    not zero.  On a 2-CPU x86 VM, a ``huge-stream``-1000 Local LFD(1)
+    aggregate run took 45 ms bare; with this sink on the object protocol
+    it took 96-99 ms (2.1x), as a hook sink 52-56 ms (1.1-1.25x).
     """
 
     def __init__(self, job: Job) -> None:
         self._job = job
         self._countdown = 256
 
-    def on_event(self, event) -> None:
+    def scalar_hooks(self):
+        return dict.fromkeys((key for key, _ in SCALAR_HOOK_KEYS), self._tick)
+
+    def _tick(self, *fields) -> None:
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = 256
@@ -204,7 +211,11 @@ class ReproServer:
         self._design_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         self._seq = 0
+        #: Accepted-but-not-started jobs (the ``max_pending`` backlog).
+        #: Updated from the loop thread and from worker threads, so every
+        #: update goes through :meth:`_add_pending`.
         self._n_pending = 0
+        self._pending_lock = threading.Lock()
         self._t0 = time.time()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -442,7 +453,7 @@ class ReproServer:
         job_id = f"j{self._seq:06d}-{uuid.uuid4().hex[:8]}"
         job = Job(job_id, spec, client, self._loop)
         self.jobs[job_id] = job
-        self._n_pending += 1
+        self._add_pending(1)
         future = self._loop.run_in_executor(self._executor, self._execute, job)
         future.add_done_callback(lambda f: self._reap(job, f))
         return json_response(201, job.status_dict())
@@ -551,8 +562,13 @@ class ReproServer:
         with self._locks_guard:
             return self._design_locks.setdefault(content_key, threading.Lock())
 
+    def _add_pending(self, delta: int) -> None:
+        # ``+=`` on an attribute is a read-modify-write the GIL may split.
+        with self._pending_lock:
+            self._n_pending += delta
+
     def _execute(self, job: Job) -> None:
-        self._n_pending -= 1
+        self._add_pending(-1)
         if job.cancel_event.is_set():
             job.finish(JobState.CANCELLED)
             return
@@ -640,7 +656,7 @@ class ReproServer:
         job.state = JobState.QUEUED
         job.error = error
         job.progress_done = 0
-        self._n_pending += 1
+        self._add_pending(1)
 
         def _requeue() -> None:
             self._retry_timers.discard(timer)

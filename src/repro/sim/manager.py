@@ -78,18 +78,6 @@ from repro.sim.ru import RU, RUState
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.tracing import (
     SCALAR_HOOK_KEYS,
-    AppActivated,
-    AppCompleted,
-    Eviction,
-    ExecEnd,
-    ExecStart,
-    ReconfigEnd,
-    ReconfigStart,
-    Reuse,
-    RunEnd,
-    RunStart,
-    Skip,
-    TraceEvent,
     TraceMode,
     TraceSink,
     TraceView,
@@ -114,6 +102,19 @@ _RECONFIGURING = RUState.RECONFIGURING
 _EXECUTING = RUState.EXECUTING
 #: RU states a load may not start in (nor a reuse claim).
 _BUSY = (_RECONFIGURING, _EXECUTING)
+
+
+def _fan_out(hooks: Tuple):
+    """One emit hook calling every sink's ``hooks`` in order.
+
+    A raising hook stops the later ones for that event (and aborts the
+    run): traces are evidence, not best-effort.
+    """
+    def fan_out(*fields):
+        for hook in hooks:
+            hook(*fields)
+
+    return fan_out
 
 
 class _AppRun:
@@ -452,148 +453,48 @@ class ExecutionManager:
         """The primary sink's view of the run (a Trace in full mode)."""
         return self._trace_primary.view()  # type: ignore[union-attr]
 
-    def _emit(self, event: TraceEvent) -> None:
-        for sink in self._sinks:
-            sink.on_event(event)
-
-    # -- object-path emitters (multi-sink / object-protocol sinks) -------
-    # Each mirrors a scalar hook signature exactly; the scalar and object
-    # paths are interchangeable per run and produce identical traces.
-    def _emit_run_start_obj(self, time, n_rus, reconfig_latency, n_apps, n_controllers):
-        self._emit(
-            RunStart(
-                time=time,
-                n_rus=n_rus,
-                reconfig_latency=reconfig_latency,
-                n_apps=n_apps,
-                n_controllers=n_controllers,
-            )
-        )
-
-    def _emit_app_activated_obj(self, time, app_index):
-        self._emit(AppActivated(time=time, app_index=app_index))
-
-    def _emit_reconfig_start_obj(self, time, ru, config, app_index, end, controller):
-        self._emit(
-            ReconfigStart(
-                time=time,
-                ru=ru,
-                config=config,
-                app_index=app_index,
-                end=end,
-                controller=controller,
-            )
-        )
-
-    def _emit_reconfig_end_obj(self, time, ru, config, app_index, controller, latency):
-        self._emit(
-            ReconfigEnd(
-                time=time,
-                ru=ru,
-                config=config,
-                app_index=app_index,
-                controller=controller,
-                latency=latency,
-            )
-        )
-
-    def _emit_reuse_obj(self, time, ru, config, app_index):
-        self._emit(Reuse(time=time, ru=ru, config=config, app_index=app_index))
-
-    def _emit_eviction_obj(self, time, ru, old_config, new_config, app_index):
-        self._emit(
-            Eviction(
-                time=time,
-                ru=ru,
-                old_config=old_config,
-                new_config=new_config,
-                app_index=app_index,
-            )
-        )
-
-    def _emit_skip_obj(self, time, app_index, config, victim_config, skipped_events_after):
-        self._emit(
-            Skip(
-                time=time,
-                app_index=app_index,
-                config=config,
-                victim_config=victim_config,
-                skipped_events_after=skipped_events_after,
-            )
-        )
-
-    def _emit_exec_start_obj(self, time, ru, config, app_index, end, reused, load_us):
-        self._emit(
-            ExecStart(
-                time=time,
-                ru=ru,
-                config=config,
-                app_index=app_index,
-                end=end,
-                reused=reused,
-                load_us=load_us,
-            )
-        )
-
-    def _emit_exec_end_obj(self, time, ru, config, app_index):
-        self._emit(ExecEnd(time=time, ru=ru, config=config, app_index=app_index))
-
-    def _emit_app_completed_obj(self, time, app_index):
-        self._emit(AppCompleted(time=time, app_index=app_index))
-
-    def _emit_run_end_obj(self, time):
-        self._emit(RunEnd(time=time))
-
     def _bind_sinks(self) -> None:
         """(Re)bind the per-kind emit hooks to the current sink tuple.
 
-        Called from ``__init__`` and again after a checkpoint restore
-        swaps the sinks (see :mod:`repro.resilience.checkpoint`).
+        Per event kind: ``None`` when no sink listens, the one listening
+        sink's hook, or a fan-out calling every listening hook in sink
+        order (the primary first).  Called from :meth:`arm` and again
+        after a checkpoint restore swaps the sinks (see
+        :mod:`repro.resilience.checkpoint`).
         """
-        # Drop a previous single-sink instance-attribute shadow so the
-        # class-level fan-out method is the fallback again.
-        self.__dict__.pop("_emit", None)
-        hooks = None
-        if len(self._sinks) == 1:
-            # Single-sink fast path: skip the fan-out frame per event,
-            # and — when the sink offers the scalar protocol — skip
-            # constructing TraceEvent objects altogether.
-            self._emit = self._sinks[0].on_event  # type: ignore[method-assign]
-            hooks = self._sinks[0].scalar_hooks()
-        if hooks is not None:
+        sink_hooks = [sink.scalar_hooks() for sink in self._sinks]
+        for sink, hooks in zip(self._sinks, sink_hooks):
             missing = [key for key, _ in SCALAR_HOOK_KEYS if key not in hooks]
             if missing:
                 raise SimulationError(
-                    f"{type(self._sinks[0]).__name__}.scalar_hooks() is "
-                    f"missing key(s) {missing}; a scalar-protocol sink must "
-                    f"cover every key in SCALAR_HOOK_KEYS "
+                    f"{type(sink).__name__}.scalar_hooks() is missing "
+                    f"key(s) {missing}; a sink's scalar_hooks() must cover "
+                    f"every key in SCALAR_HOOK_KEYS "
                     f"({[key for key, _ in SCALAR_HOOK_KEYS]}) — use None "
-                    "for ignored kinds, or return None from scalar_hooks() "
-                    "to receive event objects"
+                    "for ignored kinds, or override on_event() instead to "
+                    "receive event objects"
                 )
-            self._emit_run_start = hooks["run_start"]
-            self._emit_app_activated = hooks["app_activated"]
-            self._emit_reconfig_start = hooks["reconfig_start"]
-            self._emit_reconfig_end = hooks["reconfig_end"]
-            self._emit_reuse = hooks["reuse"]
-            self._emit_eviction = hooks["eviction"]
-            self._emit_skip = hooks["skip"]
-            self._emit_exec_start = hooks["exec_start"]
-            self._emit_exec_end = hooks["exec_end"]
-            self._emit_app_completed = hooks["app_completed"]
-            self._emit_run_end = hooks["run_end"]
-        else:
-            self._emit_run_start = self._emit_run_start_obj
-            self._emit_app_activated = self._emit_app_activated_obj
-            self._emit_reconfig_start = self._emit_reconfig_start_obj
-            self._emit_reconfig_end = self._emit_reconfig_end_obj
-            self._emit_reuse = self._emit_reuse_obj
-            self._emit_eviction = self._emit_eviction_obj
-            self._emit_skip = self._emit_skip_obj
-            self._emit_exec_start = self._emit_exec_start_obj
-            self._emit_exec_end = self._emit_exec_end_obj
-            self._emit_app_completed = self._emit_app_completed_obj
-            self._emit_run_end = self._emit_run_end_obj
+        bound = []
+        for key, _ in SCALAR_HOOK_KEYS:
+            listening = [hooks[key] for hooks in sink_hooks if hooks[key] is not None]
+            bound.append(
+                None if not listening
+                else listening[0] if len(listening) == 1
+                else _fan_out(tuple(listening))
+            )
+        (
+            self._emit_run_start,
+            self._emit_app_activated,
+            self._emit_reconfig_start,
+            self._emit_reconfig_end,
+            self._emit_reuse,
+            self._emit_eviction,
+            self._emit_skip,
+            self._emit_exec_start,
+            self._emit_exec_end,
+            self._emit_app_completed,
+            self._emit_run_end,
+        ) = bound
 
     def _bind_advisor(self) -> None:
         """(Re)resolve the advisor bookkeeping hooks.

@@ -1,11 +1,12 @@
 """Streaming trace subsystem: typed events and pluggable sinks.
 
 The :class:`~repro.sim.manager.ExecutionManager` no longer appends to
-grow-only record lists while it runs.  Instead it *emits* one immutable
-:class:`TraceEvent` per scheduler decision — reconfiguration start/end,
-reuse, eviction, skip, execution start/end, application activation and
-completion — to any number of :class:`TraceSink` observers.  What gets
-retained is the sink's choice:
+grow-only record lists while it runs.  Instead it *emits* one event per
+scheduler decision — reconfiguration start/end, reuse, eviction, skip,
+execution start/end, application activation and completion — to any
+number of :class:`TraceSink` observers, through per-kind hooks that take
+the event's fields (an immutable :class:`TraceEvent` is built only for
+sinks that ask for objects).  What gets retained is the sink's choice:
 
 * :class:`FullTrace` reconstructs the classic :class:`~repro.sim.trace.Trace`
   record lists exactly (same records, same order) — the default, and the
@@ -235,9 +236,9 @@ _CONFIG_FIELDS = frozenset({"config", "old_config", "new_config", "victim_config
 # ----------------------------------------------------------------------
 # Sink protocol
 # ----------------------------------------------------------------------
-#: Keys of the optional scalar fast path, in documentation order.  Each
-#: maps to a callback taking the matching event class's fields as
-#: positional arguments (``('exec_start', ExecStart)`` →
+#: The per-kind hook keys the manager emits through, in documentation
+#: order.  Each maps to a callback taking the matching event class's
+#: fields as positional arguments (``('exec_start', ExecStart)`` →
 #: ``hook(time, ru, config, app_index, end, reused, load_us)``).
 SCALAR_HOOK_KEYS: Tuple[Tuple[str, type], ...] = (
     ("run_start", RunStart),
@@ -253,43 +254,68 @@ SCALAR_HOOK_KEYS: Tuple[Tuple[str, type], ...] = (
     ("run_end", RunEnd),
 )
 
+#: Event class -> (hook key, field names in hook-argument order).
+_HOOK_ROUTES: Dict[type, Tuple[str, Tuple[str, ...]]] = {
+    cls: (key, tuple(f.name for f in fields(cls))) for key, cls in SCALAR_HOOK_KEYS
+}
+
 
 class TraceSink:
     """Observer of the manager's event stream.
 
-    Subclasses override :meth:`on_event`; :meth:`close` is called exactly
-    once when the run finishes (or aborts), so file-backed sinks can
-    flush.  A sink instance observes a single run — the :class:`RunStart`
-    /:class:`RunEnd` pair brackets its lifetime.
+    The manager speaks one protocol: per-kind scalar hooks.  For each
+    event kind it calls, in sink order (the primary first), the callback
+    every sink returned from :meth:`scalar_hooks` for that kind, with the
+    event's *fields* as positional arguments; a ``None`` callback means
+    "not interested" and costs nothing.  A sink overrides **one** of:
 
-    **Scalar fast path.**  A sink may additionally implement
-    :meth:`scalar_hooks`, returning one callback per event kind that
-    takes the event's *fields* as positional arguments instead of an
-    event object.  When a run's only sink provides them, the engine
-    dispatches through the callbacks and never materialises
-    :class:`TraceEvent` objects — the allocation-lean path the built-in
-    :class:`FullTrace` / :class:`AggregateTrace` sinks use.  A ``None``
-    value for a kind means "not interested": the engine skips the
-    dispatch for that kind entirely.  The two paths are observationally
-    identical (pinned by ``tests/test_compiled_equivalence.py``); any
-    run with more than one sink automatically uses event objects.
+    * :meth:`scalar_hooks` — the allocation-free protocol the built-in
+      :class:`FullTrace` / :class:`AggregateTrace` sinks speak; the
+      inherited :meth:`on_event` routes an event object to the sink's own
+      hook (how :func:`replay_events` feeds them);
+    * :meth:`on_event` — the object protocol (:class:`JsonlTraceWriter`,
+      :class:`~repro.resilience.faults.CrashSink`, most user sinks); the
+      inherited :meth:`scalar_hooks` builds the :class:`TraceEvent` per
+      call, so only such sinks pay for event objects.
+
+    A sink that overrides neither receives nothing.  :meth:`close` is
+    called exactly once when the run finishes (or aborts), so file-backed
+    sinks can flush.  A sink instance observes a single run — the
+    :class:`RunStart`/:class:`RunEnd` pair brackets its lifetime.
     """
 
     def on_event(self, event: TraceEvent) -> None:
         """Receive one event.  Raising aborts the simulation."""
+        key, names = _HOOK_ROUTES[type(event)]
+        hook = self.scalar_hooks()[key]
+        if hook is not None:
+            hook(*[getattr(event, name) for name in names])
 
     def close(self) -> None:
         """Release resources; called once after the run (even on error)."""
 
-    def scalar_hooks(self) -> Optional[Dict[str, Optional["Callable"]]]:
-        """Per-kind scalar callbacks, or ``None`` to receive objects.
+    def scalar_hooks(self) -> Dict[str, Optional[Callable]]:
+        """One callback (or ``None`` for an ignored kind) per event kind.
 
         Implementations must return a dict covering every key in
-        :data:`SCALAR_HOOK_KEYS` (``None`` values mark ignored kinds)
-        and must behave exactly like :meth:`on_event` fed the
-        corresponding event object.
+        :data:`SCALAR_HOOK_KEYS` and must behave exactly like
+        :meth:`on_event` fed the corresponding event object.
         """
-        return None
+        if type(self).on_event is TraceSink.on_event:
+            return dict.fromkeys(key for key, _ in SCALAR_HOOK_KEYS)
+        on_event = self.on_event
+        return {
+            key: _object_hook(on_event, cls) for key, cls in SCALAR_HOOK_KEYS
+        }
+
+
+def _object_hook(on_event: Callable, cls: type) -> Callable:
+    """A scalar hook that builds ``cls`` from its fields for ``on_event``."""
+
+    def hook(*fields_):
+        on_event(cls(*fields_))
+
+    return hook
 
 
 class FullTrace(TraceSink):
@@ -315,73 +341,9 @@ class FullTrace(TraceSink):
         """The reconstructed :class:`Trace` (the run's primary result)."""
         return self.trace
 
-    def on_event(self, event: TraceEvent) -> None:
-        cls = type(event)
-        if cls is ExecStart:
-            self.trace.executions.append(
-                ExecRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    start=event.time,
-                    end=event.end,
-                    reused=event.reused,
-                )
-            )
-            self.trace.no_reuse_baseline_us += event.load_us
-        elif cls is ReconfigStart:
-            self.trace.reconfigs.append(
-                ReconfigRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    start=event.time,
-                    end=event.end,
-                    controller=event.controller,
-                )
-            )
-        elif cls is Reuse:
-            self.trace.reuses.append(
-                ReuseRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    time=event.time,
-                )
-            )
-        elif cls is Eviction:
-            self.trace.evictions.append(
-                EvictionRecord(
-                    ru=event.ru,
-                    old_config=event.old_config,
-                    new_config=event.new_config,
-                    app_index=event.app_index,
-                    time=event.time,
-                )
-            )
-        elif cls is Skip:
-            self.trace.skips.append(
-                SkipRecord(
-                    app_index=event.app_index,
-                    config=event.config,
-                    victim_config=event.victim_config,
-                    time=event.time,
-                    skipped_events_after=event.skipped_events_after,
-                )
-            )
-        elif cls is AppCompleted:
-            self.trace.app_completion_times[event.app_index] = event.time
-        elif cls is RunStart:
-            self._trace = Trace(
-                n_rus=event.n_rus,
-                reconfig_latency=event.reconfig_latency,
-                n_controllers=event.n_controllers,
-            )
+    def scalar_hooks(self):
         # ReconfigEnd / ExecEnd / AppActivated / RunEnd carry no state the
         # record lists need: starts already embed their scheduled ends.
-
-    # -- scalar fast path (behaviour identical to on_event) --------------
-    def scalar_hooks(self):
         return {
             "run_start": self._h_run_start,
             "app_activated": None,
@@ -492,41 +454,6 @@ class AggregateTrace(TraceSink):
     def view(self) -> "AggregateTrace":
         return self
 
-    def on_event(self, event: TraceEvent) -> None:
-        cls = type(event)
-        if cls is ExecStart:
-            self.n_executions += 1
-            if event.reused:
-                self.n_reused_executions += 1
-            self.no_reuse_baseline_us += event.load_us
-            try:
-                self._busy[event.ru] += event.end - event.time
-            except KeyError:
-                raise SimulationError(
-                    "AggregateTrace has not observed a RunStart yet"
-                ) from None
-            if event.end > self._makespan:
-                self._makespan = event.end
-        elif cls is ReconfigStart:
-            self.n_reconfigurations += 1
-            self._total_reconfig_time += event.end - event.time
-        elif cls is Reuse:
-            self.n_reuses += 1
-        elif cls is Eviction:
-            self.n_evictions += 1
-        elif cls is Skip:
-            self.n_skips += 1
-        elif cls is AppCompleted:
-            self.n_apps_completed += 1
-            self.last_completion_time = event.time
-        elif cls is RunStart:
-            self.n_rus = event.n_rus
-            self.reconfig_latency = event.reconfig_latency
-            self.n_controllers = event.n_controllers
-            self.n_apps = event.n_apps
-            self._busy = {i: 0 for i in range(event.n_rus)}
-
-    # -- scalar fast path (behaviour identical to on_event) --------------
     def scalar_hooks(self):
         return {
             "run_start": self._h_run_start,

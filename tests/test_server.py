@@ -11,21 +11,26 @@ being byte-identical to the same run's local
 import asyncio
 import json
 import http.client
+import os
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.core.policy_spec import named_policy_spec
+from repro.core.policy_spec import lru_spec, named_policy_spec
 from repro.client import (
     AsyncReproClient,
     RemoteJobError,
     ReproClient,
     ReproClientError,
 )
+from repro.resilience.faults import FaultPlan
 from repro.server import JobSpecError, ServerThread, TokenBucket, parse_job_spec
-from repro.session import Session
-from repro.sim.tracing import trace_from_jsonl
+from repro.server.daemon import _JobHooks
+from repro.server.jobs import Job, JobCancelled
+from repro.session import Session, SessionHooks
+from repro.sim.tracing import SCALAR_HOOK_KEYS, TraceSink, trace_from_jsonl
 from repro.workloads.scenarios import make_scenario
 
 #: Small-but-nontrivial workload shared by most lifecycle tests.
@@ -239,6 +244,34 @@ class TestLifecycle:
             client.result(job_id)
         assert err.value.status == 409
 
+    def test_cancel_mid_run(self, client):
+        """One long ``run`` job: only the in-run trace-sink check can stop
+        it, since a run has no cell boundaries after it starts."""
+        job = {
+            "scenario": "huge-stream",
+            "scenario_kwargs": {"length": 10000},
+            "policy": "lru",
+        }
+        # An uncancelled run first: its wall time is the yardstick, and
+        # it warms the shared cache so the second job reaches the engine
+        # at once.
+        full = client.wait(client.submit(job), timeout=300)
+        assert full["state"] == "done"
+        full_s = full["finished"] - full["started"]
+        job_id = client.submit(job)
+        deadline = time.monotonic() + 60
+        while client.status(job_id)["state"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        time.sleep(0.2 * full_s)  # well inside the engine loop
+        assert client.cancel(job_id)["cancel_requested"]
+        status = client.wait(job_id, timeout=300)
+        assert status["state"] == "cancelled"
+        with pytest.raises(RemoteJobError) as err:
+            client.result(job_id)
+        assert err.value.status == 409
+        assert status["finished"] - status["started"] < 0.6 * full_s
+
     def test_cancel_after_done_keeps_result(self, client):
         job_id = client.submit(dict(SCENARIO))
         client.wait(job_id, timeout=120)
@@ -246,6 +279,44 @@ class TestLifecycle:
         assert status["state"] == "done"
         assert not status["cancel_requested"]
         assert client.result(job_id)["kind"] == "run"
+
+
+def test_job_hooks_cancel_a_run_within_256_events():
+    """The in-run check: ``Session.run`` under ``_JobHooks`` raises
+    :class:`JobCancelled` within 256 events of the flag being set."""
+    loop = asyncio.new_event_loop()
+    try:
+        job = Job("j1", parse_job_spec({"scenario": "huge-stream"}), "t", loop)
+    finally:
+        loop.close()
+    flag_at = 1000
+
+    class _Trigger(TraceSink, SessionHooks):
+        """Counts events behind the cancel sink; sets the flag at one."""
+
+        n = 0
+
+        def scalar_hooks(self):
+            return dict.fromkeys((key for key, _ in SCALAR_HOOK_KEYS), self._tick)
+
+        def _tick(self, *fields):
+            self.n += 1
+            if self.n == flag_at:
+                job.cancel_event.set()
+
+        def trace_sinks(self, cell):
+            return (self,)
+
+    trigger = _Trigger()
+    session = Session(
+        workload=make_scenario("huge-stream", length=300),
+        hooks=(_JobHooks(job), trigger),
+    )
+    with pytest.raises(JobCancelled):
+        session.run(lru_spec(), trace="aggregate")
+    # The trigger sits after the cancel sink, so it never saw the event
+    # the cancel sink aborted on.
+    assert flag_at <= trigger.n < flag_at + 256
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +444,31 @@ class TestConcurrency:
                 assert reply["id"] == job_id and reply["state"] == "done"
             else:
                 assert reply["summary"]["n_apps"] == n_apps[job_id]
+
+    def test_pending_count_returns_to_zero_under_contention(self):
+        """Submits (loop thread), attempt starts and requeues (worker
+        threads) all move the backlog counter; none may lose an update."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            faults = FaultPlan(points={"daemon.job.fail": 3})
+            workers = 4 * (os.cpu_count() or 1)
+            spec = {
+                "scenario": "quick",
+                "scenario_kwargs": {"length": 4},
+                "max_attempts": 3,
+            }
+            with ServerThread(
+                workers=workers, quota_rate=0, retry_base_s=0.001, faults=faults
+            ) as srv:
+                with ReproClient(srv.host, srv.port) as c:
+                    job_ids = [c.submit(spec) for _ in range(150)]
+                    states = {c.wait(j, timeout=60)["state"] for j in job_ids}
+                assert states <= {"done", "dead"}
+                assert faults.fired("daemon.job.fail") > 0
+                assert srv.server._n_pending == 0
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_shared_cache_serves_repeat_jobs_warm(self, server):
         with ReproClient(server.host, server.port) as c:

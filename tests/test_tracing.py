@@ -8,6 +8,7 @@ round-trips losslessly, and the trace modes thread through ``Session``
 """
 
 import json
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.exceptions import ExperimentError, SimulationError
 from repro.hw import DeviceModel, make_device
 from repro.metrics.summary import PolicyRunRecord
 from repro.session import Session, SessionHooks
+from repro.sim.manager import ExecutionManager
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import (
     AggregateTrace,
@@ -28,7 +30,9 @@ from repro.sim.tracing import (
     Reuse,
     RunEnd,
     RunStart,
+    SCALAR_HOOK_KEYS,
     TraceSink,
+    event_field_names,
     event_from_dict,
     event_to_dict,
     read_trace_events,
@@ -399,6 +403,177 @@ def test_sinks_closed_even_when_a_sink_raises(tmp_path, workload):
     events = list(read_trace_events(path))
     assert isinstance(events[0], RunStart)
     assert any(isinstance(e, (ReconfigStart, Reuse)) for e in events)
+
+
+# ----------------------------------------------------------------------
+# Per-kind hook fan-out: the one protocol the manager speaks
+# ----------------------------------------------------------------------
+_KEY_OF = {cls: key for key, cls in SCALAR_HOOK_KEYS}
+
+
+class _HookLog(TraceSink):
+    """Hook-only sink: logs ``(kind, fields)`` and never sees an object."""
+
+    def __init__(self):
+        self.events = []
+
+    def scalar_hooks(self):
+        return {
+            key: (lambda *fields, key=key: self.events.append((key, fields)))
+            for key, _ in SCALAR_HOOK_KEYS
+        }
+
+
+class _ObjectLog(TraceSink):
+    """Object-protocol sink: logs the same ``(kind, fields)`` shape."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        cls = type(event)
+        fields = tuple(getattr(event, n) for n in event_field_names(cls))
+        self.events.append((_KEY_OF[cls], fields))
+
+
+def _manager(workload, trace="full", extra_sinks=()):
+    spec = lru_spec()
+    return ExecutionManager(
+        graphs=workload.apps,
+        advisor=spec.make_advisor(),
+        semantics=spec.make_semantics(),
+        trace=trace,
+        extra_sinks=extra_sinks,
+        device=DeviceModel.homogeneous(4, workload.reconfig_latency),
+    )
+
+
+def test_fan_out_delivers_one_stream_in_sink_order_primary_first(workload):
+    hook_log = _HookLog()
+
+    class _Probe(_ObjectLog):
+        """Last in line: checks the sinks ahead already took each event."""
+
+        def __init__(self):
+            super().__init__()
+            self.ahead = []
+
+        def on_event(self, event):
+            super().on_event(event)
+            self.ahead.append(len(hook_log.events) == len(self.events))
+            if type(event) is ExecStart:
+                self.ahead.append(
+                    len(manager.trace.executions)
+                    == sum(key == "exec_start" for key, _ in self.events)
+                )
+
+    object_log = _Probe()
+    manager = _manager(workload, extra_sinks=(hook_log, object_log))
+    trace = manager.run()
+    assert hook_log.events
+    assert hook_log.events == object_log.events
+    assert hook_log.events[0][0] == "run_start"
+    assert hook_log.events[-1][0] == "run_end"
+    assert object_log.ahead and all(object_log.ahead)
+    execs = [f for key, f in hook_log.events if key == "exec_start"]
+    assert [(r.ru, r.start, r.end) for r in trace.executions] == [
+        (f[1], f[0], f[4]) for f in execs
+    ]
+
+
+def test_fan_out_runs_sinks_in_attachment_order(workload):
+    order = []
+
+    class _Tag(TraceSink):
+        def __init__(self, tag):
+            self.tag = tag
+
+        def scalar_hooks(self):
+            return {
+                key: (lambda *fields: order.append(self.tag))
+                for key, _ in SCALAR_HOOK_KEYS
+            }
+
+    _manager(workload, trace="aggregate", extra_sinks=(_Tag("a"), _Tag("b"))).run()
+    assert order and order == ["a", "b"] * (len(order) // 2)
+
+
+def test_hook_only_sinks_construct_no_event_objects(workload, monkeypatch):
+    from repro.server.daemon import _CancelSink
+
+    # Count constructions through each event class's own ``__init__``
+    # (patching ``__new__`` on a class hierarchy cannot be undone cleanly).
+    built = []
+    for cls in EVENT_TYPES:
+
+        def counting_init(self, *args, _orig=cls.__init__, **kwargs):
+            built.append(type(self))
+            _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    class _Job:
+        id = "j"
+        cancel_event = threading.Event()
+
+    hook_log = _HookLog()
+    for trace in ("full", "aggregate"):
+        _manager(workload, trace, extra_sinks=(hook_log, _CancelSink(_Job()))).run()
+    assert hook_log.events
+    assert built == []
+    # The counter is live: an object-protocol sink does build events.
+    object_log = _ObjectLog()
+    _manager(workload, "aggregate", extra_sinks=(object_log,)).run()
+    assert len(built) == len(object_log.events)
+
+
+def test_raising_sink_stops_later_sinks_and_aborts_at_event_n(workload):
+    from repro.resilience.faults import CrashSink, FaultError
+
+    was_armed = CrashSink.armed
+    CrashSink.arm()
+    try:
+        crash, after = CrashSink(50), _HookLog()
+        with pytest.raises(FaultError, match="trace event 50"):
+            _manager(workload, extra_sinks=(crash, after)).run()
+    finally:
+        CrashSink.armed = was_armed
+    assert crash.n == 50
+    # The sink after the crasher never saw event 50.
+    assert len(after.events) == 49
+
+
+def test_missing_hook_key_on_an_extra_sink_raises_clearly(workload):
+    class _Incomplete(_HookLog):
+        def scalar_hooks(self):
+            hooks = super().scalar_hooks()
+            del hooks["skip"]
+            return hooks
+
+    with pytest.raises(SimulationError, match=r"_Incomplete.*'skip'"):
+        _manager(workload, extra_sinks=(_Incomplete(),))
+
+
+def test_sink_overriding_neither_protocol_receives_nothing(workload):
+    class _Inert(TraceSink):
+        pass
+
+    sink = _Inert()
+    assert set(sink.scalar_hooks().values()) == {None}
+    sink.on_event(RunStart(time=0, n_rus=4, reconfig_latency=1, n_apps=1))
+    reference = _manager(workload).run()
+    trace = _manager(workload, extra_sinks=(sink,)).run()
+    assert trace.summary() == reference.summary()
+
+
+def test_built_in_sinks_take_event_objects_through_their_hooks(workload):
+    hook_log = _HookLog()
+    reference = _manager(workload, extra_sinks=(hook_log,)).run()
+    event_cls = dict(SCALAR_HOOK_KEYS)
+    events = [event_cls[key](*fields) for key, fields in hook_log.events]
+    full, agg = replay_events(events, FullTrace(), AggregateTrace())
+    assert full.view().executions == reference.executions
+    assert agg.summary() == reference.summary()
 
 
 # ----------------------------------------------------------------------
