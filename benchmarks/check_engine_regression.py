@@ -23,7 +23,11 @@ Checked metrics:
 * every ``*_s`` wall-clock case — scaled wall time must not grow more
   than the tolerance;
 * ``oracle_scaling_ratio`` — an absolute floor (machine-independent):
-  the oracle path must not turn quadratic again.
+  the oracle path must not turn quadratic again;
+* the deterministic counts — every case's ``events`` and
+  ``mobility_catalog_sims`` — must equal the baseline exactly: they do
+  not depend on the machine, so a drift means the engine or the
+  mobility search changed behaviour.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ import sys
 
 #: Machine-independent floor for the oracle anti-quadratic check.
 ORACLE_RATIO_FLOOR = 0.7
+
+#: Scalar cases that are deterministic counts, compared exactly.
+EXACT_COUNTS = ("mobility_catalog_sims",)
 
 #: Cases whose baseline measurement is shorter than this are reported
 #: but not gated: single-digit-millisecond samples jitter far beyond
@@ -55,6 +62,20 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
             failures.append(f"{name}: missing from fresh results")
             continue
         fresh_value = fresh_cases[name]
+        if name in EXACT_COUNTS:
+            if fresh_value != base_value:
+                failures.append(
+                    f"{name}: {fresh_value} != baseline {base_value} "
+                    "(a deterministic count: the search changed)"
+                )
+            continue
+        if isinstance(base_value, dict) and "events" in base_value:
+            if fresh_value.get("events") != base_value["events"]:
+                failures.append(
+                    f"{name}: {fresh_value.get('events')} events != baseline "
+                    f"{base_value['events']} (a deterministic count: the "
+                    "engine changed)"
+                )
         if name == "oracle_scaling_ratio":
             if fresh_value < ORACLE_RATIO_FLOOR:
                 failures.append(

@@ -30,6 +30,7 @@ and EXPERIMENTS.md for the paper-vs-measured record of every artifact.
 from repro.exceptions import (
     CycleError,
     DeviceError,
+    DispatchDeadlockError,
     DuplicateTaskError,
     ExperimentError,
     GraphError,
@@ -143,6 +144,7 @@ __all__ = [
     # exceptions
     "CycleError",
     "DeviceError",
+    "DispatchDeadlockError",
     "DuplicateTaskError",
     "ExperimentError",
     "GraphError",

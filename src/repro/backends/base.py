@@ -31,16 +31,23 @@ The contract every backend honours (asserted by
 4. A failed batch (worker crash, raising policy) surfaces as an
    exception *and leaves the backend reusable*: the next ``run_cells``
    on the same instance must succeed from scratch.
+
+Before the cells, the session may ask the backend for the design-time
+mobility tables its caches missed (:meth:`ExecutorBackend.compute_mobility`):
+the process pool computes them on its workers, every other backend in
+the calling process.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.mobility import compute_table
 from repro.core.policy_spec import PolicySpec
 from repro.exceptions import ExperimentError
+from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
 from repro.metrics.summary import PolicyRunRecord
 from repro.sim.manager import MobilityTables
@@ -126,7 +133,8 @@ class CellBatch:
     batch (see :func:`repro.backends.plan.build_plan`): ``artifacts[i]``
     is the ``(mobility_tables_or_None, ideal_makespan_us)`` pair cell
     ``i`` runs with, already deduplicated across cells.  Backends only
-    replay the run-time phase.
+    replay the run-time phase (the per-graph tables behind the mobility
+    artifacts may have come from :meth:`ExecutorBackend.compute_mobility`).
 
     ``sinks_for`` provides per-cell extra trace sinks; only in-process
     backends can honour it (sink objects cannot cross a process
@@ -211,6 +219,27 @@ class ExecutorBackend(ABC):
     @abstractmethod
     def run_cells(self, batch: CellBatch) -> List[PolicyRunRecord]:
         """Execute every cell; records returned in cell order."""
+
+    def compute_mobility(
+        self,
+        units: Sequence[Tuple[TaskGraph, DeviceModel]],
+        *,
+        workload: Workload,
+        content_key: str,
+        compiled: CompiledWorkload,
+        parallel: int,
+        n_cells: int,
+    ) -> List[Dict[int, int]]:
+        """Mobility tables for the design-time units a batch's caches
+        missed, in unit order.
+
+        ``units[i]`` is a ``(distinct graph of workload, effective device)``
+        pair (:meth:`~repro.core.mobility.MobilityCalculator.missing_units`);
+        the other arguments describe the :class:`CellBatch` the session is
+        about to run (``parallel`` and ``n_cells`` fix its width).  The
+        default computes the units serially in the calling process.
+        """
+        return [compute_table(graph, device) for graph, device in units]
 
     def close(self) -> None:
         """Release resources (idempotent; default: nothing to release)."""

@@ -1,7 +1,9 @@
 """The in-host process-pool backend (the historical ``parallel=N`` path).
 
-Each cell is one pool submission.  One :class:`ProcessPoolBackend`
-owns a reusable :class:`~concurrent.futures.ProcessPoolExecutor`:
+Each cell is one pool submission, and the design-time mobility tables
+the session's caches missed are computed on the same pool first
+(:meth:`ProcessPoolBackend.compute_mobility`).  One
+:class:`ProcessPoolBackend` owns a reusable :class:`~concurrent.futures.ProcessPoolExecutor`:
 consecutive batches over the same workload content and worker count
 keep the warm pool (the compiled workload ships once per worker through
 the initializer, not once per sweep), and a failed batch drops the pool
@@ -18,15 +20,19 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import CellBatch, ExecutorBackend, SweepCell
 from repro.backends.batch import CellBatchRunner
+from repro.core.mobility import compute_table
 from repro.exceptions import ExperimentError
+from repro.graphs.task_graph import TaskGraph
+from repro.hw.model import DeviceModel
 from repro.metrics.summary import PolicyRunRecord
 from repro.sim.manager import MobilityTables
 from repro.sim.tracing import TraceMode
-from repro.workloads.compiled import CompiledWorkload
+from repro.workloads.compiled import CompiledWorkload, distinct_graphs
+from repro.workloads.sequence import Workload
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +50,15 @@ def _init_worker(apps: Tuple, compiled: Optional[CompiledWorkload] = None) -> No
     """
     global _WORKER_RUNNER
     _WORKER_RUNNER = CellBatchRunner(apps, compiled)
+
+
+def _mobility_in_worker(
+    units: Sequence[Tuple[int, DeviceModel]],
+) -> List[Dict[int, int]]:
+    """Compute a chunk of ``(index into the workload's distinct graphs,
+    effective device)`` tables on the worker's shipped apps."""
+    graphs = distinct_graphs(_WORKER_RUNNER.apps)
+    return [compute_table(graphs[gi], device) for gi, device in units]
 
 
 def _run_cell_in_worker(
@@ -98,26 +113,28 @@ class ProcessPoolBackend(ExecutorBackend):
         if pool is not None:
             pool.shutdown()
 
-    def _get_pool(self, workers: int, batch: CellBatch) -> ProcessPoolExecutor:
+    def _get_pool(
+        self, workers: int, content_key: str, apps, compiled: CompiledWorkload
+    ) -> ProcessPoolExecutor:
         """A pool with exactly ``workers`` workers initialised for this
-        batch's workload, reused when the previous batch matches."""
+        workload, reused when the previous batch matches."""
         stale: Optional[ProcessPoolExecutor] = None
         with self._lock:
             if (
                 self._pool is not None
                 and self._pool_workers == workers
-                and self._pool_content == batch.content_key
+                and self._pool_content == content_key
             ):
                 return self._pool
             stale, self._pool, self._pool_workers = self._pool, None, 0
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(tuple(batch.apps), batch.compiled),
+                initargs=(tuple(apps), compiled),
             )
             self._pool = pool
             self._pool_workers = workers
-            self._pool_content = batch.content_key
+            self._pool_content = content_key
         if stale is not None:
             stale.shutdown()
         return pool
@@ -127,12 +144,64 @@ class ProcessPoolBackend(ExecutorBackend):
         """The live executor, if any (observable by tests)."""
         return self._pool
 
+    def _width(self, parallel: int, n_cells: int) -> int:
+        """Workers for a batch: never wider than it has cells."""
+        return min(parallel if parallel > 1 else (self.workers or 1), n_cells)
+
     # -- execution ------------------------------------------------------
+    def compute_mobility(
+        self,
+        units: Sequence[Tuple[TaskGraph, DeviceModel]],
+        *,
+        workload: Workload,
+        content_key: str,
+        compiled: CompiledWorkload,
+        parallel: int,
+        n_cells: int,
+    ) -> List[Dict[int, int]]:
+        """Missing design-time tables on the pool the cells will reuse.
+
+        Same width as :meth:`run_cells` for the batch (so the pool, its
+        workers and their shipped apps carry over), about four chunks per
+        worker for balance, each unit a ``(distinct-graph index, device)``
+        pair: no graph is pickled per unit.  In-process when the width is
+        1.  A failure drops the pool and raises :class:`ExperimentError`.
+        """
+        workers = self._width(parallel, n_cells)
+        if workers <= 1 or not units:
+            return super().compute_mobility(
+                units,
+                workload=workload,
+                content_key=content_key,
+                compiled=compiled,
+                parallel=parallel,
+                n_cells=n_cells,
+            )
+        index = {graph.name: gi for gi, graph in enumerate(workload.distinct_graphs())}
+        jobs = [(index[graph.name], device) for graph, device in units]
+        n_chunks = min(len(jobs), 4 * workers)
+        bounds = [len(jobs) * k // n_chunks for k in range(n_chunks + 1)]
+        try:
+            pool = self._get_pool(workers, content_key, workload.apps, compiled)
+            futures = [
+                pool.submit(_mobility_in_worker, jobs[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            return [table for future in futures for table in future.result()]
+        except BaseException as exc:
+            # A failed design phase may have broken the pool.
+            self.close()
+            if isinstance(exc, Exception) and not isinstance(exc, ExperimentError):
+                raise ExperimentError(
+                    f"design-time mobility phase failed on the process pool: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            raise
+
     def run_cells(self, batch: CellBatch) -> List[PolicyRunRecord]:
         n = len(batch.cells)
         # One cell per submission: the pool is never wider than the batch.
-        workers = batch.parallel if batch.parallel > 1 else (self.workers or 1)
-        workers = min(workers, n)
+        workers = self._width(batch.parallel, n)
         if workers <= 1:
             # A one-worker pool would only add IPC overhead; fall back to
             # the inline semantics (including hook-sink support).
@@ -140,7 +209,7 @@ class ProcessPoolBackend(ExecutorBackend):
 
             return InlineBackend().run_cells(batch)
         records: List[Optional[PolicyRunRecord]] = [None] * n
-        pool = self._get_pool(workers, batch)
+        pool = self._get_pool(workers, batch.content_key, batch.apps, batch.compiled)
         try:
             future_to_index = {}
             for i, (cell, (mobility, ideal)) in enumerate(

@@ -24,15 +24,21 @@ at most 6 on the benchmark catalog — so it probes less than a bisection
 would).  What the production calculator saves is everything around the
 probes, without changing a value:
 
-* one :class:`~repro.sim.manager.ExecutionManager` per graph, re-armed
-  (:meth:`~repro.sim.manager.ExecutionManager.arm`) for every probe
-  instead of constructed;
+* one :class:`~repro.sim.manager.ExecutionManager` per graph and
+  effective device, armed once;
+* prefix resume: every probe matches the reference run until its
+  delayed task reaches the dispatch head, so it restores an in-place
+  :meth:`~repro.sim.manager.ExecutionManager.snapshot` of the reference
+  run's last cut before that point and simulates only the suffix (see
+  :class:`_IsolatedRuns` for why only those cuts are exact);
 * tables keyed on the *effective device*: on a floorplan of identical
   slots a graph run alone never touches more than ``len(graph)`` RUs, so
   its table on R RUs is its table on ``min(R, len(graph))``.  A memoizing
   calculator computes each graph's table once per effective device and
   shares it with every calculator :meth:`MobilityCalculator.for_device`
-  derives from it.
+  derives from it.  Tables computed elsewhere — one
+  :func:`compute_table` call per unit, e.g. on a sweep's worker pool —
+  are seeded into that memo (:meth:`MobilityCalculator.seed`).
 
 This module also provides :class:`PurelyRuntimeMobilityAdvisor`, the
 "equivalent purely run-time" comparator from the paper's abstract: it
@@ -49,9 +55,9 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import SimulationError
+from repro.exceptions import DispatchDeadlockError
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
 from repro.sim.interface import (
@@ -199,6 +205,29 @@ class MobilityCalculator:
             design_time_s=time.perf_counter() - t0,
         )
 
+    def missing_units(
+        self, graphs: Sequence[TaskGraph]
+    ) -> List[Tuple[TaskGraph, DeviceModel]]:
+        """The ``(graph, effective device)`` tables :meth:`compute_tables`
+        would compute for ``graphs`` (none without a memo)."""
+        if not self.memoize:
+            return []
+        units = [
+            (graph, self.effective_device(graph)) for graph in distinct_graphs(graphs)
+        ]
+        return [unit for unit in units if unit not in self._tables]
+
+    def seed(
+        self,
+        units: Sequence[Tuple[TaskGraph, DeviceModel]],
+        tables: Sequence[Mapping[int, int]],
+    ) -> None:
+        """Memoize tables computed elsewhere (by :func:`compute_table`)
+        for :meth:`missing_units`' units, so :meth:`compute_tables` serves
+        them as hits."""
+        for unit, table in zip(units, tables):
+            self._tables[unit] = dict(table)
+
     def compute_tables(self, graphs: Sequence[TaskGraph]) -> Dict[str, Dict[int, int]]:
         """Mobility tables for a whole application set, keyed by graph name.
 
@@ -218,12 +247,31 @@ class MobilityCalculator:
         return tables
 
 
+def compute_table(graph: TaskGraph, device: DeviceModel) -> Dict[int, int]:
+    """One unit of the design phase: ``graph``'s table on its effective
+    ``device`` (a :meth:`MobilityCalculator.missing_units` entry), as a
+    default memoizing calculator computes it.  Picklable by reference, so
+    process-pool workers run it (see
+    :meth:`~repro.backends.base.ExecutorBackend.compute_mobility`)."""
+    return MobilityCalculator(device=device).compute(graph).table()
+
+
 class _IsolatedRuns:
     """The isolated simulations of one graph (the probes of one search).
 
-    A memoizing calculator builds one manager on the first probe and
-    re-arms it for every later one; otherwise each probe constructs a
-    manager from scratch.
+    A memoizing calculator arms one manager per (graph, effective device)
+    and resumes every probe from the reference run's shared prefix;
+    otherwise (the X-HYB comparator) each probe constructs a manager.
+
+    While the reference run executes, the manager's cut hook keeps, per
+    dispatch position ``q``, an in-place snapshot of the last
+    between-event cut with the head at ``q``.  A probe delaying the task
+    at position ``p`` restores the latest snapshot with ``q < p`` (or the
+    post-arm one) and runs only the suffix.  Only ``q < p`` is exact: a
+    forced delay is used up on *every* dispatcher visit to the head task,
+    so a cut with the head already at ``p`` has spent budget the probe's
+    delay must spend differently, and a probe for delay ``d`` is not a
+    continuation of the one for ``d - 1``.
     """
 
     def __init__(self, calc: MobilityCalculator, graph: TaskGraph) -> None:
@@ -231,33 +279,79 @@ class _IsolatedRuns:
         self.graph = graph
         self.device = calc.effective_device(graph)
         self.manager: Optional[ExecutionManager] = None
+        #: Post-arm snapshot, then per position ``p`` the cut to resume
+        #: a probe delaying the task at ``p`` from (once the reference
+        #: run recorded them).
+        self._start: Optional[tuple] = None
+        self._resume_at: Optional[List[tuple]] = None
+        self._position: Dict[int, int] = {
+            nid: p for p, nid in enumerate(graph.reconfiguration_order())
+        }
 
     def makespan(self, forced_delays: Optional[Mapping] = None) -> int:
         calc = self.calc
         calc.simulations += 1
-        advisor = PolicyAdvisor(calc.policy_factory())
-        manager = self.manager
-        if manager is None:
-            manager = ExecutionManager(
+        if not calc.memoize:
+            return ExecutionManager(
                 graphs=[self.graph],
-                advisor=advisor,
+                advisor=PolicyAdvisor(calc.policy_factory()),
                 semantics=calc.semantics,
                 forced_delays=forced_delays,
                 trace="aggregate",  # only the makespan is read
                 device=self.device,
+            ).run().makespan
+        manager = self.manager
+        if manager is None:
+            manager = self.manager = ExecutionManager(
+                graphs=[self.graph],
+                advisor=PolicyAdvisor(calc.policy_factory()),
+                semantics=calc.semantics,
+                trace="aggregate",
+                device=self.device,
             )
-            if calc.memoize:
-                self.manager = manager
-        else:
-            manager.arm(advisor, forced_delays, trace="aggregate")
-        return manager.run().makespan
+            self._start = manager.snapshot()
+        if forced_delays:
+            first = min(self._position.get(nid, 0) for _app, nid in forced_delays)
+            cuts = self._resume_at
+            manager.restore(
+                self._start if cuts is None else cuts[first], forced_delays
+            )
+            return manager.run().makespan
+        manager.restore(self._start)
+        if self._resume_at is not None:
+            return manager.run().makespan
+        return self._record_reference(manager)
+
+    def _record_reference(self, manager: ExecutionManager) -> int:
+        """Run the reference schedule, snapshotting its between-event cuts."""
+        n = len(self._position)
+        last_cut: Dict[int, tuple] = {}
+
+        def keep(mgr: ExecutionManager) -> None:
+            q = mgr.head_position
+            if q < n - 1:  # no probe delays a task past the last one
+                last_cut[q] = mgr.snapshot()
+
+        manager.set_cut_hook(keep)
+        try:
+            makespan = manager.run().makespan
+        finally:
+            manager.set_cut_hook(None)
+        resume_at = []
+        cut = self._start
+        for p in range(n):
+            # The latest cut whose head is still before p.
+            cut = last_cut.get(p - 1, cut)
+            resume_at.append(cut)
+        self._resume_at = resume_at
+        return makespan
 
     def delayed(self, node_id: int, delay_events: int) -> int:
         if delay_events == 0:
             return self.makespan()
         try:
             return self.makespan({(0, node_id): delay_events})
-        except SimulationError:
+        except DispatchDeadlockError:
             return _INFEASIBLE  # effectively +inf: the delay is infeasible
 
 

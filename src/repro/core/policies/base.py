@@ -43,8 +43,10 @@ class ReplacementPolicy(abc.ABC):
         """One-line human-readable description."""
         return self.name
 
+    @noop_hook
     def reset(self) -> None:
-        """Clear any internal state before a fresh run (default: none)."""
+        """Clear any internal state before a fresh run (default: none;
+        a policy keeping state in ``select_victim`` must override it)."""
 
     # ------------------------------------------------------------------
     # Optional bookkeeping hooks (forwarded by PolicyAdvisor).

@@ -79,6 +79,8 @@ class PolicyAdvisor(ReplacementAdvisor):
             self.on_reuse = policy.on_reuse  # type: ignore[method-assign]
         if cls.on_execution_end is PolicyAdvisor.on_execution_end:
             self.on_execution_end = policy.on_execution_end  # type: ignore[method-assign]
+        if cls.reset is PolicyAdvisor.reset:
+            self.reset = policy.reset  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def decide(self, ctx: DecisionContext) -> Decision:

@@ -42,6 +42,16 @@ class SimulationError(ReproError):
     """Inconsistent simulator state (indicates a bug or invalid input)."""
 
 
+class DispatchDeadlockError(SimulationError):
+    """The event queue drained with applications unfinished.
+
+    The one simulation failure that is a *result* rather than a bug: a
+    design-time probe whose forced delay starves its task of every load
+    opportunity ends this way, and the mobility search reads it as an
+    infeasible delay.
+    """
+
+
 class TraceInvariantError(SimulationError):
     """A produced execution trace violates a structural invariant."""
 

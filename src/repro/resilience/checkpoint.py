@@ -227,7 +227,7 @@ def restore_checkpoint(manager, payload: Dict[str, object]) -> None:
     manager._bind_sinks()
 
     manager._events_done = snapshot["events_done"]
-    manager._resumed = True
+    manager._started = True
 
 
 def arm_checkpointing(manager, every: int, store, key: str) -> None:
@@ -240,8 +240,7 @@ def arm_checkpointing(manager, every: int, store, key: str) -> None:
     def write(mgr) -> None:
         store.put("checkpoint", key, encode_checkpoint(key, capture_checkpoint(mgr)))
 
-    manager._checkpoint_every = int(every)
-    manager._checkpoint_write = write
+    manager.set_cut_hook(write, int(every))
 
 
 def resume_from_store(manager, store, key: str) -> bool:

@@ -53,7 +53,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.artifacts.keys import (
     compiled_key,
@@ -339,6 +339,40 @@ class ArtifactCache:
             self.ideal_stats.misses += 1
             self._ideal[key] = compute()
         return self._ideal[key]
+
+    def missing_mobility_units(
+        self,
+        content_key: str,
+        distinct_graphs: Sequence[TaskGraph],
+        devices: Sequence[DeviceModel],
+    ) -> List[Tuple[TaskGraph, DeviceModel]]:
+        """The ``(graph, effective device)`` tables that
+        :meth:`mobility_tables` would compute for ``devices``: those of
+        devices missing from the memory and disk tiers, not yet memoized,
+        each once.  Seed them with :meth:`seed_mobility`."""
+        catalog_key: Optional[str] = None
+        units: Dict[Tuple[TaskGraph, DeviceModel], None] = {}  # ordered set
+        for device in devices:
+            if (content_key, _device_key(device)) in self._mobility:
+                continue
+            if self.store is not None:
+                if catalog_key is None:
+                    catalog_key = graphs_content_key(distinct_graphs)
+                if self.store.exists("mobility", mobility_key(catalog_key, device)):
+                    continue
+            calc = self._calculator(device)
+            units.update(dict.fromkeys(calc.missing_units(distinct_graphs)))
+        return list(units)
+
+    def seed_mobility(
+        self,
+        units: Sequence[Tuple[TaskGraph, DeviceModel]],
+        tables: Sequence[Mapping[int, int]],
+    ) -> None:
+        """Memoize per-graph tables computed elsewhere (e.g. on a worker
+        pool) for :meth:`missing_mobility_units`' units."""
+        if units:
+            self._calculator(units[0][1]).seed(units, tables)
 
     def mobility_tables(
         self,
@@ -874,10 +908,12 @@ class Session:
     ) -> SweepResult:
         """Run every ``(spec, n_rus)`` cell; returns a :class:`SweepResult`.
 
-        Design-time artifacts are computed once per ``n_rus`` in the parent
-        process and shared by all cells (and shipped to workers when
-        ``parallel > 1``).  Results are deterministic and identical for any
-        ``parallel`` value; only wall-clock changes.  Every cell streams
+        Design-time artifacts are computed once per ``n_rus`` and shared
+        by all cells (and shipped to workers when ``parallel > 1``); the
+        per-graph mobility tables the caches miss are computed by the
+        batch's backend — on the process pool when ``parallel > 1``.
+        Results are deterministic and identical for any ``parallel``
+        value; only wall-clock changes.  Every cell streams
         into the O(1) aggregate sink (a sweep keeps only its records), so
         ``trace="full"`` is the same as ``"aggregate"``; a JSONL path is
         accepted for a single cell only.
@@ -965,14 +1001,22 @@ class Session:
         return build_plan(cells)
 
     def _execute_plan(
-        self, plan: ExperimentPlan
+        self,
+        plan: ExperimentPlan,
+        backend: Optional[ExecutorBackend] = None,
+        parallel: int = 1,
     ) -> List[Tuple[Optional[MobilityTables], int]]:
         """Run the design-time phase of a plan through the artifact cache.
 
         Nodes execute in topological order — each *distinct* artifact
         exactly once, the dedup structural rather than a cache side
         effect — and the result is the per-cell ``(mobility, ideal)``
-        pairs a :class:`CellBatch` carries.
+        pairs a :class:`CellBatch` carries.  With a ``backend``, the
+        per-graph mobility tables every mobility node misses (memory and
+        disk tiers) are first computed by
+        :meth:`ExecutorBackend.compute_mobility` and seeded into the
+        cache's calculator memo; the nodes then assemble and publish
+        their tables from it as usual.
         """
         # Each artifact node serves >= 1 cells with identical coordinates;
         # any one of them can stand in when calling the cache.
@@ -980,6 +1024,29 @@ class Session:
         for i in range(len(plan.cells)):
             for dep in plan.cell_node(i).deps:
                 representative.setdefault(dep, plan.cells[i])
+        if backend is not None:
+            graphs = self.workload.distinct_graphs()
+            units = self.cache.missing_mobility_units(
+                self._content_key,
+                graphs,
+                [
+                    representative[node.key].device
+                    for node in plan.nodes.values()
+                    if node.kind == "mobility"
+                ],
+            )
+            if units:
+                self.cache.seed_mobility(
+                    units,
+                    backend.compute_mobility(
+                        units,
+                        workload=self.workload,
+                        content_key=self._content_key,
+                        compiled=self.compiled(),
+                        parallel=parallel,
+                        n_cells=len(plan.cells),
+                    ),
+                )
         mobility_for: Dict[str, MobilityTables] = {}
         ideal_for: Dict[str, int] = {}
         for node in plan.topological_order():
@@ -1082,9 +1149,11 @@ class Session:
         if not pending:
             return list(records)  # type: ignore[arg-type]
         sub_cells = [cells[i] for i in pending]
-        # Design-time phase stays in the parent so the cache is shared;
-        # backends only replay the run-time phase of each cell.
-        artifacts = self._execute_plan(build_plan(sub_cells))
+        # The design phase resolves through the parent's cache (the
+        # backend computes only the per-graph tables it misses); the
+        # cells then replay the run-time phase on the backend.
+        backend = self._backend_for(parallel)
+        artifacts = self._execute_plan(build_plan(sub_cells), backend, parallel)
         base_done = done
         batch = CellBatch(
             workload=self.workload,
@@ -1103,7 +1172,7 @@ class Session:
             ),
             sinks_for=lambda j: cell_sinks[pending[j]],
         )
-        fresh = self._backend_for(parallel).run_cells(batch)
+        fresh = backend.run_cells(batch)
         for j, i in enumerate(pending):
             records[i] = fresh[j]
             if keys[i] is not None:

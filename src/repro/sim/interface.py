@@ -189,5 +189,11 @@ class ReplacementAdvisor(abc.ABC):
     def on_app_activated(self, app_index: int, now: int) -> None:
         """An application became the current one."""
 
+    @noop_hook
     def reset(self) -> None:
-        """Clear internal state before a fresh simulation run."""
+        """Clear internal state before a fresh simulation run.
+
+        Advisors that keep run state override it; the marker on this
+        default tells :meth:`~repro.sim.manager.ExecutionManager.snapshot`
+        that an advisor without bookkeeping hooks or a ``reset`` override
+        is stateless and need not be copied."""

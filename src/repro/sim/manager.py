@@ -59,10 +59,11 @@ single emitted trace event — equivalence is pinned event-for-event by
 from __future__ import annotations
 
 import bisect
+import copy
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import PolicyError, SimulationError
+from repro.exceptions import DispatchDeadlockError, PolicyError, SimulationError
 from repro.graphs.task import ConfigId, TaskInstance
 from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
@@ -178,6 +179,28 @@ class _ScratchContext:
         self.skipped_events = 0
 
 
+#: Attributes :meth:`ExecutionManager.arm` assigns that
+#: :meth:`ExecutionManager.snapshot` does not copy: aliases of captured
+#: state (restored in place), objects fixed for the run, and flags equal
+#: at every between-event cut.  ``tests/test_snapshot.py`` fails when
+#: ``arm`` gains an attribute that is in neither set.
+SNAPSHOT_RUN_INVARIANT = frozenset({
+    "apps",             # read-only views over ``state``
+    "_push",            # bound to ``queue``, restored in place
+    "_sinks",           # the primary sink's state is captured
+    "skipped_events",   # the EngineState column aliases ...
+    "_remaining",
+    "_unfinished",
+    "_loc",
+    "_ru_cid",
+    "_ru_app",
+    "_ru_flat",
+    "_win_counts",
+    "_dl_view",         # ... and the window view over ``win_counts``
+    "_idle_stall",      # True only inside a stall recovery, never at a cut
+})
+
+
 class ExecutionManager:
     """Simulates one run of an application sequence on the device.
 
@@ -269,11 +292,10 @@ class ExecutionManager:
             compiled.graphs[gi] for gi in compiled.app_graph
         ]
         self._app_ntasks = compiled.app_n_tasks
-        #: Checkpoint cadence — when armed by
-        #: :func:`repro.resilience.checkpoint.arm_checkpointing` — how
-        #: often and how to persist a snapshot.
-        self._checkpoint_every = 0
-        self._checkpoint_write = None
+        #: Cut hook (see :meth:`set_cut_hook`): called every
+        #: ``_cut_every`` events, at a consistent between-event cut.
+        self._cut_every = 0
+        self._cut_hook: Optional[Callable[["ExecutionManager"], None]] = None
 
         # Loop-invariant semantics switches, resolved once.
         self._lookahead = semantics.lookahead_apps
@@ -337,11 +359,11 @@ class ExecutionManager:
         self._trace_primary, self._sinks = resolve_trace_mode(trace, extra_sinks)
         self._bind_sinks()
         #: Events handled so far (the checkpoint cadence counts them);
-        #: ``_resumed`` skips the run prologue (RunStart, advisor reset,
-        #: arrival scheduling) after
-        #: :func:`~repro.resilience.checkpoint.restore_checkpoint`.
+        #: ``_started`` is set once the run prologue (RunStart, advisor
+        #: reset, arrival scheduling) has run, so a run resumed from a
+        #: checkpoint or a :meth:`snapshot` skips it.
         self._events_done = 0
-        self._resumed = False
+        self._started = False
 
         # Dispatch pointer over the concatenated reconfiguration sequences.
         self._dispatch_app = 0       # index into self.apps
@@ -453,6 +475,12 @@ class ExecutionManager:
         """The primary sink's view of the run (a Trace in full mode)."""
         return self._trace_primary.view()  # type: ignore[union-attr]
 
+    @property
+    def head_position(self) -> int:
+        """Flat position (``app_offsets[app] + rec_position``) of the next
+        task the dispatcher will consider; ``n_tasks`` once all are out."""
+        return self.compiled.app_offsets[self._dispatch_app] + self._dispatch_pos
+
     def _bind_sinks(self) -> None:
         """(Re)bind the per-kind emit hooks to the current sink tuple.
 
@@ -510,6 +538,160 @@ class ExecutionManager:
         self._notify_exec_start = resolve_hook(advisor.on_execution_start)
         self._notify_exec_end = resolve_hook(advisor.on_execution_end)
         self._notify_activated = resolve_hook(advisor.on_app_activated)
+        #: Whether the advisor keeps run state — a bound bookkeeping hook
+        #: or a ``reset`` override — so a snapshot must copy it.
+        self._advisor_keeps_state = (
+            resolve_hook(advisor.reset) is not None
+            or self._notify_load is not None
+            or self._notify_reuse is not None
+            or self._notify_exec_start is not None
+            or self._notify_exec_end is not None
+            or self._notify_activated is not None
+        )
+
+    def set_cut_hook(
+        self,
+        hook: Optional[Callable[["ExecutionManager"], None]],
+        every: int = 1,
+    ) -> None:
+        """Call ``hook(self)`` after every ``every``-th event of a run.
+
+        The bottom of the event loop is the one consistent between-event
+        cut: no handler is mid-flight, so a checkpoint
+        (:func:`~repro.resilience.checkpoint.arm_checkpointing`) or a
+        :meth:`snapshot` taken there restores exactly.  ``None`` removes
+        the hook; without one the loop pays a single falsy test per event.
+        """
+        self._cut_every = every if hook is not None else 0
+        self._cut_hook = hook
+
+    # ------------------------------------------------------------------
+    # In-place snapshots (design-time prefix resume)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> tuple:
+        """Copy every piece of run state :meth:`arm` sets, in memory.
+
+        Valid after :meth:`arm` (before :meth:`run`) and from a cut hook
+        (:meth:`set_cut_hook`) — the cuts a checkpoint is valid at.
+        :meth:`restore` puts the state back, as often as needed, and
+        running on emits exactly the events the uninterrupted run emitted
+        after the cut.  Unlike a checkpoint nothing is pickled: containers
+        are copied and immutable values (task instances, configurations,
+        event tuples) shared.  The advisor is copied only when it keeps
+        run state (bookkeeping hooks or a ``reset`` override); of the
+        sinks only the primary one is captured, so a run with extra sinks
+        or a JSONL capture cannot be snapshotted.  The result is opaque.
+        """
+        if len(self._sinks) != 1:
+            raise SimulationError(
+                "snapshot() captures the primary trace sink only; this run "
+                f"has {len(self._sinks)} sinks"
+            )
+        state = self.state
+        queue = self.queue
+        keeps_state = self._advisor_keeps_state
+        return (
+            state.remaining[:],
+            state.unfinished[:],
+            state.skipped[:],
+            state.loc[:],
+            state.win_counts[:],
+            state.ru_cid[:],
+            state.ru_app[:],
+            state.ru_flat[:],
+            state.apps_left,
+            self.clock,
+            queue._heap[:],
+            queue._seq,
+            queue._last_popped,
+            [
+                (ru.state, ru.config, ru.pending, ru.pending_reused,
+                 ru.last_use, ru.load_end)
+                for ru in self.rus
+            ],
+            self._dispatch_app,
+            self._dispatch_pos,
+            self._current_app,
+            self._head_da,
+            self._head_dp,
+            self._head_obj,
+            self._free_controllers[:],
+            self._free_rus[:],
+            self._ready[:],
+            {app: rus[:] for app, rus in self._parked.items()},
+            frozenset(self._busy_cfgs),
+            dict(self._forced_delays),
+            self._win_add,
+            self._win_rem,
+            self._win_end_app,
+            self._events_done,
+            self._started,
+            copy.deepcopy(self.advisor) if keeps_state else self.advisor,
+            keeps_state,
+            self._trace_primary.snapshot(),
+        )
+
+    def restore(
+        self,
+        snapshot: tuple,
+        forced_delays: Optional[Mapping[Tuple[int, int], int]] = None,
+    ) -> None:
+        """Put back the state a :meth:`snapshot` of this manager captured.
+
+        ``forced_delays``, when given, replaces the captured delay budget
+        — how a design-time probe resumes the reference run's prefix with
+        its own delay (exact only while the delayed task has not reached
+        the dispatch head; see :mod:`repro.core.mobility`).
+        """
+        (
+            remaining, unfinished, skipped, loc, win_counts,
+            ru_cid, ru_app, ru_flat, apps_left,
+            clock, heap, seq, last_popped, ru_fields,
+            self._dispatch_app, self._dispatch_pos, self._current_app,
+            self._head_da, self._head_dp, self._head_obj,
+            free_controllers, free_rus, ready, parked, busy_cfgs,
+            saved_delays,
+            self._win_add, self._win_rem, self._win_end_app,
+            self._events_done, self._started,
+            advisor, advisor_copied, sink_state,
+        ) = snapshot
+        # In place: the hot-loop column aliases, the Dynamic-List window
+        # view and the scratch decision context point at these objects.
+        state = self.state
+        state.remaining[:] = remaining
+        state.unfinished[:] = unfinished
+        state.skipped[:] = skipped
+        state.loc[:] = loc
+        state.win_counts[:] = win_counts
+        state.ru_cid[:] = ru_cid
+        state.ru_app[:] = ru_app
+        state.ru_flat[:] = ru_flat
+        state.apps_left = apps_left
+        self.clock = clock
+        queue = self.queue
+        queue._heap[:] = heap
+        queue._seq = seq
+        queue._last_popped = last_popped
+        for ru, fields in zip(self.rus, ru_fields):
+            (ru.state, ru.config, ru.pending, ru.pending_reused,
+             ru.last_use, ru.load_end) = fields
+        self._free_controllers[:] = free_controllers
+        self._free_rus[:] = free_rus
+        self._ready[:] = ready
+        self._parked = {app: rus[:] for app, rus in parked.items()}
+        busy = self._busy_cfgs
+        busy.clear()
+        busy.update(busy_cfgs)
+        self._forced_delays = dict(
+            saved_delays if forced_delays is None else forced_delays
+        )
+        if advisor_copied:
+            self.advisor = copy.deepcopy(advisor)
+            self._bind_advisor()
+        elif advisor is not self.advisor:
+            self.advisor = advisor
+            self._bind_advisor()
+        self._trace_primary.restore(sink_state)
 
     def run(self) -> TraceView:
         """Execute the whole sequence and return the trace view.
@@ -525,7 +707,7 @@ class ExecutionManager:
                 sink.close()
 
     def _run(self) -> TraceView:
-        if not self._resumed:
+        if not self._started:
             em = self._emit_run_start
             if em is not None:
                 em(0, self.n_rus, self.reconfig_latency, len(self.apps),
@@ -541,9 +723,10 @@ class ExecutionManager:
                     self.queue.push(app.arrival_time, EventKind.APP_ARRIVAL, app.index)
             # Kick-start dispatch at t=0 (the first new_task_graph event).
             self._dispatch_and_start()
+            self._started = True
 
-        ckpt_every = self._checkpoint_every
-        ckpt_write = self._checkpoint_write
+        cut_every = self._cut_every
+        cut_hook = self._cut_hook
         guard = 0
         guard_limit = 1000 * self.compiled.n_tasks + 10_000
         # Pop the heap directly; ``_last_popped`` is kept current so the
@@ -571,13 +754,12 @@ class ExecutionManager:
                 guard += 1
                 if guard > guard_limit:  # pragma: no cover - defensive
                     raise SimulationError("simulation exceeded event budget (livelock?)")
-                if ckpt_every:
+                if cut_every:
                     self._events_done += 1
-                    if self._events_done % ckpt_every == 0:
+                    if self._events_done % cut_every == 0:
                         # Between events is the one consistent cut (no
-                        # handler is mid-flight); see
-                        # repro.resilience.checkpoint.
-                        ckpt_write(self)
+                        # handler is mid-flight); see set_cut_hook.
+                        cut_hook(self)
 
             if self.state.apps_left == 0:
                 break
@@ -591,7 +773,7 @@ class ExecutionManager:
             # idle skips and retry; anything else is a genuine deadlock.
             if not self._break_idle_skip_stall():
                 unfinished = [a.index for a in self.apps if not a.complete()]
-                raise SimulationError(
+                raise DispatchDeadlockError(
                     f"simulation ended with unfinished applications {unfinished}; "
                     "this indicates a dispatch deadlock"
                 )

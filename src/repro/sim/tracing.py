@@ -36,7 +36,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -358,6 +358,16 @@ class FullTrace(TraceSink):
             "run_end": None,
         }
 
+    def snapshot(self) -> Optional[Trace]:
+        """A copy of the state, for
+        :meth:`~repro.sim.manager.ExecutionManager.snapshot` (which
+        covers runs whose only sink is the primary one)."""
+        return None if self._trace is None else _copy_trace(self._trace)
+
+    def restore(self, state: Optional[Trace]) -> None:
+        # A fresh Trace: its derived-value caches key on list lengths.
+        self._trace = None if state is None else _copy_trace(state)
+
     def _h_run_start(self, time, n_rus, reconfig_latency, n_apps, n_controllers):
         self._trace = Trace(
             n_rus=n_rus,
@@ -422,6 +432,20 @@ class FullTrace(TraceSink):
         self.trace.app_completion_times[app_index] = time
 
 
+def _copy_trace(trace: Trace) -> Trace:
+    """A new :class:`Trace` with copies of ``trace``'s record containers
+    (records are immutable and shared)."""
+    return replace(
+        trace,
+        reconfigs=list(trace.reconfigs),
+        reuses=list(trace.reuses),
+        evictions=list(trace.evictions),
+        skips=list(trace.skips),
+        executions=list(trace.executions),
+        app_completion_times=dict(trace.app_completion_times),
+    )
+
+
 class AggregateTrace(TraceSink):
     """Memory-bounded sink: counters + makespan + per-RU busy time.
 
@@ -453,6 +477,16 @@ class AggregateTrace(TraceSink):
 
     def view(self) -> "AggregateTrace":
         return self
+
+    def snapshot(self) -> Dict[str, object]:
+        """A copy of the counters (see :meth:`FullTrace.snapshot`)."""
+        state = self.__dict__.copy()
+        state["_busy"] = dict(self._busy)
+        return state
+
+    def restore(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._busy = dict(self._busy)
 
     def scalar_hooks(self):
         return {

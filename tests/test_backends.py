@@ -48,6 +48,7 @@ from repro.backends import (
 )
 from repro.core.policy_spec import lfd_spec, local_lfd_spec, lru_spec
 from repro.exceptions import ExperimentError
+from repro.hw.model import DeviceModel
 from repro.session import Session
 from repro.workloads.scenarios import quick_workload
 
@@ -487,3 +488,123 @@ class TestPoolRegression:
             assert len(sweep.records) == len(SPECS)
         finally:
             session.close()
+
+
+# ----------------------------------------------------------------------
+# Design phase on the pool: missing mobility tables fan out to workers
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def catalog_workload():
+    from repro.graphs.random_graphs import random_layered_graph
+    from repro.workloads.sequence import Workload, random_sequence
+
+    catalog = [random_layered_graph(f"C{i}", 3 + i % 4, seed=900 + i) for i in range(8)]
+    return Workload(
+        apps=tuple(random_sequence(catalog, 24, seed=5)),
+        n_rus=4,
+        reconfig_latency=4000,
+        name="pool-design",
+    )
+
+
+DESIGN_RUS = (3, 4, 6)
+DESIGN_LATENCIES = (2000, 8000)
+
+
+def _grid(session, parallel):
+    return session.grid(
+        SPECS,
+        ru_counts=DESIGN_RUS,
+        reconfig_latencies=DESIGN_LATENCIES,
+        parallel=parallel,
+    )
+
+
+def _all_tables(session):
+    return {
+        (n, lat): session.mobility_tables(n, lat)
+        for n in DESIGN_RUS
+        for lat in DESIGN_LATENCIES
+    }
+
+
+class TestPooledDesignPhase:
+    def test_pool_computes_the_tables_serial_would(self, catalog_workload, monkeypatch):
+        from repro.core.mobility import MobilityCalculator
+
+        in_parent = []
+        real = MobilityCalculator.compute
+
+        def counting(self, graph):
+            in_parent.append(graph.name)  # workers append to their own copy
+            return real(self, graph)
+
+        monkeypatch.setattr(MobilityCalculator, "compute", counting)
+        with Session(workload=catalog_workload) as pooled:
+            pooled_records = _grid(pooled, parallel=2)
+            assert in_parent == []  # every table came from a worker
+            pooled_tables = _all_tables(pooled)
+            assert pooled.cache.mobility_stats.computations == len(pooled_tables)
+        serial = Session(workload=catalog_workload)
+        serial_records = _grid(serial, parallel=1)
+        assert in_parent  # the parallel=1 batch computed in-process
+        assert _all_tables(serial) == pooled_tables
+        assert [r.record for r in serial_records] == [r.record for r in pooled_records]
+
+    def test_disk_tables_are_not_recomputed_and_round_trip(
+        self, catalog_workload, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        with Session(workload=catalog_workload, store=store) as cold:
+            _grid(cold, parallel=2)
+            published = _all_tables(cold)
+        asked = []
+        real = ProcessPoolBackend.compute_mobility
+
+        def spying(self, units, **kwargs):
+            asked.append(len(units))
+            return real(self, units, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolBackend, "compute_mobility", spying)
+        with Session(workload=catalog_workload, store=store) as warm:
+            _grid(warm, parallel=2)
+            stats = warm.cache.mobility_stats
+            assert stats.disk_hits == len(published)
+            assert stats.computations == 0
+            assert asked == []  # no unit missed both tiers
+            assert _all_tables(warm) == published
+
+    def test_worker_failure_raises_and_drops_the_pool(self, catalog_workload):
+        """One RU cannot hold these graphs: the design phase fails on a
+        worker.  The pool is dropped and the next grid succeeds."""
+        session = Session(workload=catalog_workload)
+        try:
+            with pytest.raises(ExperimentError, match="design-time mobility phase"):
+                session.grid(SPECS, ru_counts=(1, 4), parallel=2)
+            assert session._pool is None
+            records = _grid(session, parallel=2)
+            assert session._pool is not None
+            assert len(records) == len(SPECS) * len(DESIGN_RUS) * len(DESIGN_LATENCIES)
+        finally:
+            session.close()
+
+    def test_inline_backends_compute_in_the_parent(self, catalog_workload):
+        """The default ``compute_mobility`` (inline, work-stealing) runs
+        in the calling process and matches the pool's tables."""
+        from repro.core.mobility import MobilityCalculator, compute_table
+
+        graphs = catalog_workload.distinct_graphs()
+        device = DeviceModel.homogeneous(4, 4000)
+        units = MobilityCalculator(device=device).missing_units(graphs)
+        tables = InlineBackend().compute_mobility(
+            units,
+            workload=catalog_workload,
+            content_key="k",
+            compiled=None,
+            parallel=1,
+            n_cells=1,
+        )
+        assert tables == [compute_table(g, d) for g, d in units]
+        assert {g.name: t for (g, _), t in zip(units, tables)} == (
+            MobilityCalculator(device=device).compute_tables(graphs)
+        )

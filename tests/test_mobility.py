@@ -373,3 +373,99 @@ class TestEffectiveDevice:
             )
             assert fast.effective_device(graph) is device
             assert fast.compute_tables([graph]) == literal.compute_tables([graph])
+
+
+# ----------------------------------------------------------------------
+# Prefix resume: probes replay only the suffix after their divergence
+# ----------------------------------------------------------------------
+@st.composite
+def _graph_on_any_device(draw):
+    """A random layered graph of 2-8 tasks on a device at least as wide
+    as its concurrency: uniform (narrower or wider than the graph, 1-2
+    controllers) or the mixed big-little floorplan."""
+    from repro.graphs.analysis import max_concurrent_tasks
+    from repro.graphs.random_graphs import random_layered_graph
+    from repro.hw.presets import make_device
+
+    n = draw(st.integers(min_value=2, max_value=8))
+    graph = random_layered_graph(
+        "P", n, seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        low_us=1000, high_us=20000,
+    )
+    if draw(st.booleans()):
+        graph = _with_bitstreams(graph, [256, 768, 128])
+        return graph, make_device("big-little-4")
+    width = max_concurrent_tasks(graph)
+    return graph, DeviceModel.homogeneous(
+        draw(st.integers(min_value=width, max_value=n + 1)),
+        draw(st.sampled_from([ms(1), ms(4), ms(16)])),
+        n_controllers=draw(st.integers(min_value=1, max_value=2)),
+    )
+
+
+class TestPrefixResume:
+    @given(_graph_on_any_device())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_resumed_probes_match_fresh_runs(self, case):
+        """Every table the production calculator (probes resumed from the
+        reference run's cuts) computes equals the literal one (a fresh
+        manager per probe), probe for probe."""
+        graph, device = case
+        fast = MobilityCalculator(device=device)
+        literal = MobilityCalculator(memoize=False, device=fast.effective_device(graph))
+        assert fast.compute_tables([graph]) == literal.compute_tables([graph])
+        assert fast.simulations == literal.simulations
+
+    def test_probes_replay_only_the_suffix(self, monkeypatch):
+        """Resumed probes handle fewer events than whole runs, with the
+        same tables and probe count."""
+        from repro.graphs.random_graphs import random_layered_graph
+        from repro.sim.manager import ExecutionManager
+
+        handled = []
+        real = ExecutionManager._handle_end_of_execution
+
+        def counting(self, *args):
+            handled.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(ExecutionManager, "_handle_end_of_execution", counting)
+        graphs = [random_layered_graph(f"S{i}", 6 + i % 3, seed=40 + i) for i in range(4)]
+        device = DeviceModel.homogeneous(3, ms(4))
+        fast = MobilityCalculator(device=device)
+        tables = fast.compute_tables(graphs)
+        resumed = len(handled)
+        handled.clear()
+        literal = MobilityCalculator(memoize=False, device=device)
+        assert literal.compute_tables(graphs) == tables
+        assert literal.simulations == fast.simulations
+        assert resumed < len(handled)
+
+    def test_non_deadlock_error_in_a_probe_propagates(self, monkeypatch):
+        """Only a dispatch deadlock means "infeasible delay"; any other
+        engine error inside a probe is a bug and must surface."""
+        from repro.exceptions import DispatchDeadlockError, SimulationError
+        from repro.sim.manager import ExecutionManager
+
+        real = ExecutionManager._handle_end_of_reconfiguration
+
+        def broken(self, *args):
+            if self._forced_delays:
+                raise SimulationError("execution bookkeeping mismatch")
+            return real(self, *args)
+
+        monkeypatch.setattr(ExecutionManager, "_handle_end_of_reconfiguration", broken)
+        graph = fig3_task_graph_2()
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(4, ms(4)))
+        with pytest.raises(SimulationError, match="bookkeeping mismatch") as info:
+            calc.compute(graph)
+        assert not isinstance(info.value, DispatchDeadlockError)
+        with pytest.raises(SimulationError, match="bookkeeping mismatch"):
+            calc.delayed_makespan(graph, graph.reconfiguration_order()[-1], 1)
+
+    def test_deadlocking_delay_is_infeasible(self):
+        from repro.core.mobility import _INFEASIBLE
+
+        graph = chain_graph("G", [ms(5), ms(5), ms(5)])
+        calc = MobilityCalculator(device=DeviceModel.homogeneous(2, ms(4)))
+        assert calc.delayed_makespan(graph, graph.reconfiguration_order()[-1], 10**6) == _INFEASIBLE
