@@ -18,7 +18,7 @@ Scaled by environment for CI:
 
 * ``REPRO_STRESS_JOBS``    — total jobs (default 1000)
 * ``REPRO_STRESS_CLIENTS`` — concurrent clients (default 50)
-* ``REPRO_STRESS_WORKERS`` — daemon worker threads (default 4)
+* ``REPRO_STRESS_WORKERS`` — daemon workers (default 4)
 
 Measurements land in ``benchmarks/results/bench_serve_stress.json``
 (uploaded as a CI artifact) so future PRs can track the trajectory.

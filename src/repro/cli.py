@@ -336,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="simulation worker threads for the 'serve' command (default: 4)",
+        help=(
+            "jobs the 'serve' command runs at once, each on its own "
+            "simulation process (default: 4; must be >= 1)"
+        ),
     )
     parser.add_argument(
         "--quota-rate",

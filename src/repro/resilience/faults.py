@@ -103,7 +103,7 @@ class FaultPlan:
         iterable of 1-based occurrence indices (``[2, 5]`` fires on the
         2nd and 5th call only).
 
-    The plan is thread-safe (daemon worker threads and the asyncio loop
+    The plan is thread-safe (daemon dispatch threads and the asyncio loop
     consult one shared plan) and picklable (worker subprocesses receive
     their plan through ``multiprocessing``).
     """

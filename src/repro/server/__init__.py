@@ -2,8 +2,9 @@
 
 A long-running asyncio daemon (:class:`ReproServer`) that accepts
 simulation and sweep jobs over HTTP+JSON from many concurrent clients,
-runs them on a persistent worker pool over one shared
-:class:`~repro.session.ArtifactCache` (compile-once, warm-store reuse),
+runs their design-time phase over one shared
+:class:`~repro.session.ArtifactCache` (compile-once, warm-store reuse)
+and their simulations on a persistent pool of worker processes,
 and exposes the full job lifecycle: submit, status/progress, live JSONL
 event streaming, result retrieval and cancellation, with per-client
 token-bucket quotas.  See ``docs/service.md`` for the protocol

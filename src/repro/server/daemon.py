@@ -1,18 +1,28 @@
 """The ``repro serve`` daemon: an asyncio simulation-as-a-service server.
 
 One :class:`ReproServer` multiplexes many concurrent clients over a
-persistent worker pool:
+persistent pool of simulation processes:
 
 * the asyncio loop owns all sockets — request parsing, routing, status
   long-polls and live event streams are non-blocking;
-* simulations run on a ``ThreadPoolExecutor`` of ``workers`` threads,
-  each job through its own :class:`~repro.session.Session` over **one
-  shared** :class:`~repro.session.ArtifactCache` (optionally disk-backed
-  by ``store=``), so compiled workloads, mobility tables and ideal
+* a ``ThreadPoolExecutor`` of ``workers`` dispatch threads runs each
+  job's **design-time phase** in the daemon, through a
+  :class:`~repro.session.Session` over **one shared**
+  :class:`~repro.session.ArtifactCache` (optionally disk-backed by
+  ``store=``), so compiled workloads, mobility tables and ideal
   makespans are computed once and reused by every subsequent job — the
-  compile-once path that makes thousands of small jobs cheap;
-* a per-workload design-time lock prevents a thundering herd of
-  identical cold jobs from compiling the same workload in parallel.
+  compile-once path that makes thousands of small jobs cheap; a
+  per-workload design-time lock prevents a thundering herd of identical
+  cold jobs from compiling the same workload in parallel;
+* the **run-time phase** — the replacement loop, most of a job's CPU —
+  runs on one persistent simulation process per worker slot, so
+  ``workers`` jobs simulate on ``workers`` cores instead of sharing one
+  interpreter lock.  The dispatch thread ships the job spec and each
+  cell's ``(mobility, ideal_us)``; the process rebuilds the workload
+  (through a small LRU of compiled workloads), simulates, and sends back
+  progress, ``events: true`` JSONL lines and the result.  Cancellation
+  is a per-slot shared flag the process reads every 256 events; a
+  process that dies fails the attempt it was running and is respawned.
 
 Endpoints (see ``docs/service.md`` for the full protocol):
 
@@ -34,17 +44,25 @@ GET       ``/jobs/{id}/events``   live chunked JSONL event stream
 from __future__ import annotations
 
 import asyncio
+import atexit
 import dataclasses
 import math
+import multiprocessing
+import os
+import queue
+import signal
+import stat
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.artifacts.keys import workload_content_key
 from repro.artifacts.store import ArtifactStore
+from repro.backends import CellBatch, resolve_backend
 from repro.exceptions import ExperimentError
 from repro.server.http import (
     LAST_CHUNK,
@@ -59,14 +77,18 @@ from repro.server.jobs import (
     ChannelWriter,
     Job,
     JobCancelled,
+    JobSpec,
     JobSpecError,
     JobState,
     TokenBucket,
     parse_job_spec,
 )
 from repro.session import ArtifactCache, Session, SessionHooks
+from repro.sim.simulator import run_simulation
 from repro.sim.tracing import SCALAR_HOOK_KEYS, JsonlTraceWriter, TraceSink
+from repro.workloads.compiled import CompiledWorkload
 from repro.workloads.scenarios import make_scenario
+from repro.workloads.sequence import Workload
 
 
 class _CancelSink(TraceSink):
@@ -74,11 +96,12 @@ class _CancelSink(TraceSink):
 
     Attached to every job's event stream as a hook-only sink: one
     counter tick per event of every kind, and a look at the job's
-    ``threading.Event`` every 256 events, bounding the cancellation
-    latency to a fraction of a millisecond of simulation.  The cost is
-    not zero.  On a 2-CPU x86 VM, a ``huge-stream``-1000 Local LFD(1)
-    aggregate run took 45 ms bare; with this sink on the object protocol
-    it took 96-99 ms (2.1x), as a hook sink 52-56 ms (1.1-1.25x).
+    ``cancel_event`` every 256 events (on a worker process, the slot's
+    shared cancel flag), bounding the cancellation latency to a fraction
+    of a millisecond of simulation.  The cost is not zero.  On a 2-CPU
+    x86 VM, a ``huge-stream``-1000 Local LFD(1) aggregate run took 45 ms
+    bare; with this sink on the object protocol it took 96-99 ms (2.1x),
+    as a hook sink 52-56 ms (1.1-1.25x).
     """
 
     def __init__(self, job: Job) -> None:
@@ -97,13 +120,13 @@ class _CancelSink(TraceSink):
 
 
 class _JobHooks(SessionHooks):
-    """Bridges one job's Session lifecycle into the job record.
+    """Bridges one job's run-time lifecycle into its job record.
 
-    Progress lands in ``job.progress_done`` (read by ``GET /jobs/{id}``),
-    cancellation is honoured at every cell boundary, and — for
-    event-streaming runs — a :class:`JsonlTraceWriter` over the job's
-    :class:`~repro.server.jobs.EventChannel` broadcasts the trace live in
-    the exact JSONL wire format.
+    Progress lands in ``job.progress_done``, cancellation is honoured at
+    every cell boundary, and — for event-streaming runs — a
+    :class:`JsonlTraceWriter` over the job's ``channel`` broadcasts the
+    trace live in the exact JSONL wire format.  On a worker process the
+    "job" is a :class:`_SlotJob`, which forwards all three to the daemon.
     """
 
     def __init__(self, job: Job) -> None:
@@ -130,6 +153,316 @@ class _JobHooks(SessionHooks):
         return sinks
 
 
+# ----------------------------------------------------------------------
+# Worker-process side (module level so it pickles under spawn too)
+# ----------------------------------------------------------------------
+#: Compiled workloads one simulation process keeps (least recently used
+#: out first).  Every cold job brings a fresh workload, so the memo must
+#: not grow with the job count; 16 covers a handful of warm workloads
+#: interleaved with cold ones.
+COMPILED_MEMO_SIZE = 16
+
+#: JSONL lines a simulation process batches into one message.
+_EVENT_BATCH = 256
+
+
+class _CompiledMemo:
+    """A bounded LRU of ``(workload, compiled)`` per scenario call."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple, Tuple[Workload, CompiledWorkload]]" = (
+            OrderedDict()
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, spec: JobSpec) -> Tuple[Workload, CompiledWorkload]:
+        key = (spec.scenario, spec.scenario_kwargs)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry
+        workload = make_scenario(spec.scenario, **dict(spec.scenario_kwargs))
+        entry = (workload, CompiledWorkload.compile(tuple(workload.apps)))
+        self._entries[key] = entry
+        if len(self._entries) > COMPILED_MEMO_SIZE:
+            self._entries.popitem(last=False)
+        return entry
+
+
+class _SlotCancel:
+    """``cancel_event`` of a :class:`_SlotJob`: set once the daemon wrote
+    this attempt's token into the slot's shared flag."""
+
+    __slots__ = ("_flag", "_token")
+
+    def __init__(self, flag, token: int) -> None:
+        self._flag = flag
+        self._token = token
+
+    def is_set(self) -> bool:
+        return self._flag.value == self._token
+
+
+class _PipeChannel:
+    """The process side of a job's event channel: batches of lines to the
+    daemon, which appends them to the job's
+    :class:`~repro.server.jobs.EventChannel`."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self._lines: List[str] = []
+
+    def append(self, line: str) -> None:
+        self._lines.append(line)
+        if len(self._lines) >= _EVENT_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._lines:
+            self._conn.send(("events", self._lines))
+            self._lines = []
+
+
+class _SlotJob:
+    """What :class:`_JobHooks` drives on a simulation process: the job's
+    id, cancel flag, event channel and progress counter, forwarded over
+    the slot's pipe."""
+
+    def __init__(self, job_id: str, conn, flag, token: int, events: bool) -> None:
+        self.id = job_id
+        self.cancel_event = _SlotCancel(flag, token)
+        self.channel = _PipeChannel(conn) if events else None
+        self._conn = conn
+        self._progress = 0
+
+    @property
+    def progress_done(self) -> int:
+        return self._progress
+
+    @progress_done.setter
+    def progress_done(self, value: int) -> None:
+        if value != self._progress:
+            self._progress = value
+            self._conn.send(("progress", value))
+
+
+def _simulate(
+    job: _SlotJob, spec: JobSpec, content_key, cells, artifacts, memo, backend
+):
+    """One job's run-time phase; returns the job's result payload."""
+    workload, compiled = memo.get(spec)
+    hooks = _JobHooks(job)
+    if spec.kind == "run":
+        cell, (mobility, ideal) = cells[0], artifacts[0]
+        hooks.on_run_start(cell)
+        result = run_simulation(
+            workload.apps,
+            advisor=cell.spec.make_advisor(),
+            semantics=cell.spec.make_semantics(),
+            mobility_tables=mobility,
+            ideal_makespan_us=ideal,
+            trace="aggregate",
+            extra_sinks=tuple(hooks.trace_sinks(cell)),
+            compiled=compiled,
+            device=cell.device,
+        )
+        hooks.on_run_end(cell, None)
+        return {"kind": "run", "policy": cell.spec.label, "summary": result.summary()}
+    sinks = [tuple(hooks.trace_sinks(cell)) for cell in cells]
+    records = backend.run_cells(
+        CellBatch(
+            workload=workload,
+            content_key=content_key,
+            compiled=compiled,
+            cells=cells,
+            artifacts=artifacts,
+            trace_mode="aggregate",
+            started=lambda i: hooks.on_run_start(cells[i]),
+            finished=lambda i, record: hooks.on_run_end(cells[i], record),
+            progressed=hooks.on_sweep_progress,
+            sinks_for=sinks.__getitem__,
+        )
+    )
+    return {
+        "kind": "sweep",
+        "ru_counts": list(spec.rus),
+        "records": [dataclasses.asdict(r) for r in records],
+    }
+
+
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but ``keep`` at ``/dev/null``.
+
+    A forked process holds copies of the daemon's listening socket and
+    client connections; while it does, a connection the daemon closes
+    stays open for its peer.  ``dup2`` (not ``close``) keeps each fd
+    number taken, so no inherited socket object can later close a
+    reused one.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        fds = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, null) or fd <= 2:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass
+    finally:
+        os.close(null)
+
+
+def _slot_main(conn, flag, backend_name: Optional[str], store) -> None:
+    """A simulation process: run the jobs its slot sends until told to
+    stop, the pipe closes or the daemon is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the daemon owns Ctrl-C
+    _drop_inherited_sockets(conn.fileno())
+    daemon_pid = os.getppid()
+    memo = _CompiledMemo()
+    backend = resolve_backend(backend_name, store=store)
+    try:
+        while True:
+            if not conn.poll(1.0):
+                if os.getppid() != daemon_pid:
+                    return  # orphaned: the daemon died without stopping us
+                continue
+            message = conn.recv()
+            if message is None:
+                return
+            token, job_id, spec, content_key, cells, artifacts = message
+            job = _SlotJob(job_id, conn, flag, token, spec.events)
+            try:
+                reply = (
+                    "done",
+                    _simulate(job, spec, content_key, cells, artifacts, memo, backend),
+                )
+            except JobCancelled:
+                reply = ("cancelled", None)
+            except Exception as exc:
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            if job.channel is not None:
+                job.channel.flush()
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
+    finally:
+        backend.close()
+
+
+# ----------------------------------------------------------------------
+# Daemon side of a worker slot
+# ----------------------------------------------------------------------
+class _AttemptError(Exception):
+    """A job attempt failed on its simulation process (message is the
+    process-side ``"Type: message"`` text)."""
+
+
+class _WorkerSlot:
+    """One persistent simulation process and the pipe to it.
+
+    Driven by one dispatch thread at a time (slots are handed out
+    through :attr:`ReproServer._free_slots`); :meth:`cancel` may be
+    called from any thread.  Each attempt gets a fresh token, and the
+    process aborts when the shared ``flag`` holds its token, so a late
+    cancel never hits the slot's next job.
+    """
+
+    def __init__(self, index: int, ctx, backend: Optional[str], store) -> None:
+        self.index = index
+        self.restarts = 0
+        self._ctx = ctx
+        self._args = (backend, store)
+        self._flag = ctx.RawValue("q", 0)
+        self._token = 0
+        self._spawn()
+
+    def _spawn(self) -> None:
+        conn, child = self._ctx.Pipe()
+        # Not daemonic: a job's sweep backend may start processes of its own.
+        self.process = self._ctx.Process(
+            target=_slot_main,
+            args=(child, self._flag, *self._args),
+            name=f"repro-sim-{self.index}",
+            daemon=False,
+        )
+        self.process.start()
+        child.close()
+        self._conn = conn
+
+    def _respawn(self) -> None:
+        self.close()
+        self.restarts += 1
+        self._spawn()
+
+    def cancel(self, token: int) -> None:
+        self._flag.value = token
+
+    def run(self, job: Job, content_key: str, cells, artifacts) -> Dict[str, object]:
+        """Run one attempt's run-time phase; returns the result payload.
+
+        Raises :class:`JobCancelled` when the job was cancelled,
+        :class:`_AttemptError` when it failed on the process, and
+        :class:`ExperimentError` when the process died under it (the slot
+        then respawns its process).
+        """
+        if not self.process.is_alive():
+            self._respawn()  # died while idle: no attempt was lost
+        self._token += 1
+        token = self._token
+        job.on_cancel = lambda: self.cancel(token)
+        try:
+            self._conn.send((token, job.id, job.spec, content_key, cells, artifacts))
+            if job.cancel_event.is_set():
+                self.cancel(token)
+            while True:
+                kind, value = self._conn.recv()
+                if kind == "progress":
+                    job.progress_done = value
+                elif kind == "events":
+                    job.channel.extend(value)
+                elif kind == "done":
+                    return value
+                elif kind == "cancelled":
+                    raise JobCancelled(f"job {job.id} cancelled")
+                else:
+                    raise _AttemptError(value)
+        except (EOFError, OSError):
+            dead = self.process
+            self._respawn()
+            raise ExperimentError(
+                f"simulation worker process {dead.pid} (slot {self.index}) "
+                f"died with exit code {dead.exitcode} while running job {job.id}"
+            ) from None
+        finally:
+            job.on_cancel = None
+
+    def close(self) -> None:
+        """Stop the process: ask, then terminate, then kill."""
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass
+        self.process.join(timeout=5)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5)
+        self._conn.close()
+
+    def describe(self) -> Dict[str, object]:
+        return {"slot": self.index, "pid": self.process.pid, "restarts": self.restarts}
+
+
 class ReproServer:
     """The daemon: job intake, worker pool, lifecycle and event streaming.
 
@@ -143,8 +476,12 @@ class ReproServer:
         :class:`ArtifactStore`) backing the shared cache, so design-time
         artifacts survive daemon restarts and are shared with CLI runs.
     workers:
-        Simulation worker threads.  Concurrency beyond this queues —
-        submissions are accepted immediately and run in order.
+        Jobs that run at once (at least 1): one dispatch thread and one
+        persistent simulation process per slot, so the run-time phases
+        of ``workers`` jobs use ``workers`` cores.  Concurrency beyond
+        this queues — submissions are accepted immediately and run in
+        order.  The processes start in :meth:`start` and stop in
+        :meth:`stop`.
     quota_rate, quota_burst:
         Per-client token bucket: sustained submissions/second and burst
         capacity.  ``quota_rate=0`` disables quotas.  Clients identify
@@ -163,11 +500,10 @@ class ReproServer:
         ``daemon.stream.drop`` (an event stream's connection dies
         mid-flight, exercising client ``?from=N`` reconnects).
     backend:
-        Sweep execution backend name passed to every job's
-        :class:`~repro.session.Session` (``"inline"``,
-        ``"process-pool"`` or ``"work-stealing"``; see
-        ``docs/backends.md``).  ``None`` keeps the session default.
-        ``"work-stealing"`` requires ``store``.
+        Sweep execution backend name the simulation processes run sweep
+        jobs' cells on (``"inline"``, ``"process-pool"`` or
+        ``"work-stealing"``; see ``docs/backends.md``).  ``None`` keeps
+        the session default.  ``"work-stealing"`` requires ``store``.
     """
 
     def __init__(
@@ -184,6 +520,8 @@ class ReproServer:
         faults=None,
         backend: Optional[str] = None,
     ) -> None:
+        if workers < 1:
+            raise ExperimentError(f"workers must be >= 1, got {workers}")
         self.host = host
         self.port = port
         self.retry_base_s = float(retry_base_s)
@@ -197,7 +535,7 @@ class ReproServer:
                 "backend='work-stealing' requires a persistent --store"
             )
         self.backend = backend
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.quota_rate = float(quota_rate)
         self.quota_burst = int(quota_burst)
         self.max_pending = int(max_pending)
@@ -205,6 +543,8 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-job"
         )
+        self._slots: List[_WorkerSlot] = []
+        self._free_slots: "queue.SimpleQueue[_WorkerSlot]" = queue.SimpleQueue()
         self._buckets: Dict[str, TokenBucket] = {}
         self._workloads: Dict[Tuple, Tuple] = {}
         self._workload_lock = threading.Lock()
@@ -212,7 +552,7 @@ class ReproServer:
         self._locks_guard = threading.Lock()
         self._seq = 0
         #: Accepted-but-not-started jobs (the ``max_pending`` backlog).
-        #: Updated from the loop thread and from worker threads, so every
+        #: Updated from the loop thread and from dispatch threads, so every
         #: update goes through :meth:`_add_pending`.
         self._n_pending = 0
         self._pending_lock = threading.Lock()
@@ -226,20 +566,45 @@ class ReproServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket (resolves ``port=0``)."""
+        """Start the simulation processes, then bind the listening socket
+        (resolves ``port=0``)."""
         self._loop = asyncio.get_running_loop()
         self._t0 = time.time()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
+        self._start_slots()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, self.host, self.port
+            )
+        except BaseException:
+            self._close_slots()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "start() first"
         await self._server.serve_forever()
 
+    def _start_slots(self) -> None:
+        # Same start method as the process-pool backend (the platform
+        # default), and before the socket exists so no process inherits it.
+        ctx = multiprocessing.get_context()
+        for index in range(self.workers):
+            slot = _WorkerSlot(index, ctx, self.backend, self.store)
+            self._slots.append(slot)
+            self._free_slots.put(slot)
+        # Runs before multiprocessing's own exit hook, which would wait
+        # forever on these non-daemonic processes.
+        atexit.register(self._close_slots)
+
+    def _close_slots(self) -> None:
+        atexit.unregister(self._close_slots)
+        slots, self._slots = self._slots, []
+        for slot in slots:
+            slot.close()
+
     async def stop(self) -> None:
-        """Stop accepting, cancel queued jobs, drain running ones."""
+        """Stop accepting, cancel queued jobs, drain running ones, then
+        stop the simulation processes."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -257,11 +622,12 @@ class ReproServer:
         self._retry_timers.clear()
         for job in self.jobs.values():
             if job.state not in JobState.TERMINAL:
-                job.cancel_event.set()
+                job.cancel()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, lambda: self._executor.shutdown(wait=True, cancel_futures=True)
         )
+        await loop.run_in_executor(None, self._close_slots)
         # Queued jobs whose futures were cancelled never reached _execute.
         for job in self.jobs.values():
             if job.state not in JobState.TERMINAL:
@@ -383,6 +749,7 @@ class ReproServer:
             "status": "ok",
             "uptime_s": round(time.time() - self._t0, 3),
             "workers": self.workers,
+            "worker_processes": [slot.describe() for slot in self._slots],
             "jobs": dict(by_state, total=len(self.jobs)),
             "cache": self.cache.stats_summary(),
             "quota": {
@@ -478,7 +845,7 @@ class ReproServer:
 
     def _cancel(self, job: Job) -> bytes:
         if job.state not in JobState.TERMINAL:
-            job.cancel_event.set()
+            job.cancel()
         return json_response(200, job.status_dict())
 
     def _result(self, job: Job) -> bytes:
@@ -546,7 +913,7 @@ class ReproServer:
         await writer.drain()
 
     # ------------------------------------------------------------------
-    # Job execution (worker threads)
+    # Job execution (dispatch threads)
     # ------------------------------------------------------------------
     def _workload_for(self, spec):
         key = (spec.scenario, spec.scenario_kwargs)
@@ -583,12 +950,7 @@ class ReproServer:
                 )
             workload, content_key = self._workload_for(job.spec)
             specs = job.spec.policy_specs()
-            session = Session(
-                workload=workload,
-                cache=self.cache,
-                hooks=(_JobHooks(job),),
-                backend=self.backend,
-            )
+            session = Session(workload=workload, cache=self.cache)
             if job.spec.kind == "sweep":
                 ru_axis: Tuple[int, ...] = job.spec.rus
             else:
@@ -605,29 +967,24 @@ class ReproServer:
                         )
                         if policy_spec.skip_events:
                             session.mobility_tables(n_rus=n_rus)
-            if job.spec.kind == "run":
-                result = session.run(
-                    specs[0], n_rus=job.spec.n_rus, trace="aggregate"
-                )
-                job.result = {
-                    "kind": "run",
-                    "policy": specs[0].label,
-                    "summary": result.summary(),
-                }
-            else:
-                sweep = session.sweep(specs, ru_counts=job.spec.rus)
-                job.result = {
-                    "kind": "sweep",
-                    "ru_counts": list(job.spec.rus),
-                    "records": [dataclasses.asdict(r) for r in sweep.records],
-                }
+            # Each cell's (mobility, ideal) pair, resolved as Session.run
+            # and Session.sweep resolve it, ships with the job.
+            plan = session.plan(specs, ru_counts=ru_axis)
+            artifacts = session._execute_plan(plan)
+            slot = self._free_slots.get()
+            try:
+                job.result = slot.run(job, content_key, plan.cells, artifacts)
+            finally:
+                self._free_slots.put(slot)
             job.finish(JobState.DONE)
         except JobCancelled:
             job.finish(JobState.CANCELLED)
+        except _AttemptError as exc:
+            self._attempt_failed(job, str(exc))
         except Exception as exc:
-            self._attempt_failed(job, exc)
+            self._attempt_failed(job, f"{type(exc).__name__}: {exc}")
 
-    def _attempt_failed(self, job: Job, exc: Exception) -> None:
+    def _attempt_failed(self, job: Job, error: str) -> None:
         """One attempt died: requeue with backoff, or go terminal.
 
         Jobs keep their legacy semantics unless they opted in: with the
@@ -637,7 +994,6 @@ class ReproServer:
         attempt budget or the job's wall-clock ``deadline_s`` runs out,
         at which point they park in the terminal DEAD state.
         """
-        error = f"{type(exc).__name__}: {exc}"
         job.failures.append(
             {"attempt": job.attempts, "error": error, "time": time.time()}
         )

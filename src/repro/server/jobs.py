@@ -29,7 +29,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.policies.registry import available_policies
 from repro.core.policy_spec import PolicySpec, named_policy_spec
@@ -42,7 +42,7 @@ class JobSpecError(ReproError):
 
 
 class JobCancelled(ReproError):
-    """Raised inside a worker to abort a cancelled job's simulation."""
+    """Raised inside a simulation to abort a cancelled job."""
 
 
 class JobState:
@@ -277,8 +277,9 @@ def parse_job_spec(payload: object) -> JobSpec:
 class EventChannel:
     """Replayable broadcast buffer of encoded JSONL event lines.
 
-    The producer is a worker *thread* (the simulation); consumers are
-    asyncio tasks streaming ``/jobs/{id}/events`` responses.  Lines are
+    The producer is the job's dispatch *thread*, which appends the line
+    batches its simulation process sends; consumers are asyncio tasks
+    streaming ``/jobs/{id}/events`` responses.  Lines are
     retained for the job's lifetime, so any number of subscribers can
     attach at any time — including reconnecting ones, which resume from
     a line offset and observe the exact same byte sequence.
@@ -290,9 +291,9 @@ class EventChannel:
         self._loop = loop
         self._change = asyncio.Event()
 
-    # -- producer side (worker thread) ----------------------------------
-    def append(self, line: str) -> None:
-        self.lines.append(line)
+    # -- producer side (dispatch thread) --------------------------------
+    def extend(self, lines: Iterable[str]) -> None:
+        self.lines.extend(lines)
         self._loop.call_soon_threadsafe(self._wake)
 
     def finish(self) -> None:
@@ -314,14 +315,16 @@ class EventChannel:
 
 
 class ChannelWriter:
-    """File-like adapter feeding complete lines into an :class:`EventChannel`.
+    """File-like adapter feeding complete lines into a channel's ``append``.
 
     Handed to :class:`~repro.sim.tracing.JsonlTraceWriter` as its output
-    stream, so the network event stream is produced by the *same codec*
-    as a local JSONL file — byte-identical lines by construction.
+    stream (on the simulation process, whose channel forwards the lines
+    to the job's :class:`EventChannel`), so the network event stream is
+    produced by the *same codec* as a local JSONL file — byte-identical
+    lines by construction.
     """
 
-    def __init__(self, channel: EventChannel) -> None:
+    def __init__(self, channel) -> None:
         self._channel = channel
         self._pending = ""
 
@@ -345,11 +348,13 @@ class ChannelWriter:
 class Job:
     """One submitted job: spec, lifecycle state and (optional) event feed.
 
-    Mutated by exactly one worker thread; read by the event loop.  All
-    mutated fields are plain attribute writes (atomic under the GIL) and
-    terminal-state transitions additionally set an asyncio event via
-    ``call_soon_threadsafe`` so long-polling status requests wake
-    immediately.
+    Mutated by exactly one dispatch thread at a time; read by the event
+    loop.  All mutated fields are plain attribute writes (atomic under
+    the GIL) and terminal-state transitions additionally set an asyncio
+    event via ``call_soon_threadsafe`` so long-polling status requests
+    wake immediately.  :meth:`cancel` sets ``cancel_event`` and, while an
+    attempt runs on a simulation process, calls ``on_cancel`` to raise
+    that process's cancel flag.
     """
 
     def __init__(
@@ -376,15 +381,26 @@ class Job:
         #: failed attempt, preserved through retries and into ``dead``.
         self.failures: List[Dict[str, object]] = []
         self.cancel_event = threading.Event()
+        #: Set by the dispatch thread for the life of an attempt on a
+        #: simulation process; signals that process.
+        self.on_cancel: Optional[Callable[[], None]] = None
         self.channel: Optional[EventChannel] = (
             EventChannel(loop) if spec.events else None
         )
         self._loop = loop
         self._done = asyncio.Event()
 
-    # -- worker-thread side ---------------------------------------------
+    def cancel(self) -> None:
+        """Request cancellation (any thread); the running attempt, if
+        any, aborts within 256 events or at its next cell boundary."""
+        self.cancel_event.set()
+        on_cancel = self.on_cancel
+        if on_cancel is not None:
+            on_cancel()
+
+    # -- dispatch-thread side -------------------------------------------
     def finish(self, state: str, error: Optional[str] = None) -> None:
-        """Terminal transition (worker thread); wakes loop-side waiters."""
+        """Terminal transition (dispatch thread); wakes loop-side waiters."""
         self.state = state
         self.error = error
         self.finished = time.time()

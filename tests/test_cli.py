@@ -220,6 +220,19 @@ class TestBadValues:
         assert err == f"repro: error: {message}\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_serve_rejects_fewer_than_one_worker(workers, capsys, monkeypatch):
+    from repro.server import ReproServer
+
+    async def must_not_start(self):
+        raise AssertionError("the daemon started")
+
+    monkeypatch.setattr(ReproServer, "start", must_not_start)
+    assert main(["serve", "--port", "0", "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro: error: workers must be >= 1, got {workers}\n"
+
+
 class TestCacheJson:
     def test_cache_stats_json(self, capsys, tmp_path):
         import json as json_mod

@@ -9,9 +9,11 @@ being byte-identical to the same run's local
 """
 
 import asyncio
+import dataclasses
 import json
 import http.client
 import os
+import signal
 import sys
 import threading
 import time
@@ -25,9 +27,16 @@ from repro.client import (
     ReproClient,
     ReproClientError,
 )
+from repro.exceptions import ExperimentError
 from repro.resilience.faults import FaultPlan
-from repro.server import JobSpecError, ServerThread, TokenBucket, parse_job_spec
-from repro.server.daemon import _JobHooks
+from repro.server import (
+    JobSpecError,
+    ReproServer,
+    ServerThread,
+    TokenBucket,
+    parse_job_spec,
+)
+from repro.server.daemon import COMPILED_MEMO_SIZE, _CompiledMemo, _JobHooks
 from repro.server.jobs import Job, JobCancelled
 from repro.session import Session, SessionHooks
 from repro.sim.tracing import SCALAR_HOOK_KEYS, TraceSink, trace_from_jsonl
@@ -452,7 +461,9 @@ class TestConcurrency:
         sys.setswitchinterval(1e-6)
         try:
             faults = FaultPlan(points={"daemon.job.fail": 3})
-            workers = 4 * (os.cpu_count() or 1)
+            # One simulation process per worker: keep the count small on
+            # many-core machines.
+            workers = min(8, 4 * (os.cpu_count() or 1))
             spec = {
                 "scenario": "quick",
                 "scenario_kwargs": {"length": 4},
@@ -513,3 +524,119 @@ class TestClient:
                     release.set()
                 assert blocker.result(timeout=120)
                 assert c.wait(queued, timeout=120)["state"] == "done"
+
+
+# ----------------------------------------------------------------------
+# Simulation worker processes
+# ----------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_rejected(self, workers):
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(ExperimentError, match=message):
+            ReproServer(port=0, workers=workers)
+
+    def test_killed_worker_fails_its_attempt_and_the_slot_respawns(self):
+        long_job = {
+            "scenario": "huge-stream",
+            "scenario_kwargs": {"length": 10000},
+            "policy": "lru",
+        }
+        with ServerThread(workers=1, quota_rate=0, retry_base_s=0.01) as srv:
+            with ReproClient(srv.host, srv.port) as client:
+
+                def slot() -> dict:
+                    (only,) = client.healthz()["worker_processes"]
+                    return only
+
+                def kill_mid_job(spec) -> tuple:
+                    job_id = client.submit(spec)
+                    job = srv.server.jobs[job_id]
+                    deadline = time.monotonic() + 60
+                    # Set while the attempt is on the process, from just
+                    # before the job is sent until the result is back.
+                    while job.on_cancel is None:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+                    pid = slot()["pid"]
+                    os.kill(pid, signal.SIGKILL)
+                    return job_id, pid
+
+                assert slot()["restarts"] == 0
+                job_id, pid = kill_mid_job(long_job)
+                status = client.wait(job_id, timeout=300)
+                assert status["state"] == "failed"
+                assert f"worker process {pid}" in status["error"]
+                assert "died" in status["error"]
+                assert slot()["restarts"] == 1
+                assert slot()["pid"] != pid
+
+                job_id, pid = kill_mid_job(dict(long_job, max_attempts=2))
+                status = client.wait(job_id, timeout=300)
+                assert status["state"] == "done"
+                assert status["attempts"] == 2
+                assert f"worker process {pid}" in status["failures"][0]["error"]
+                assert slot()["restarts"] == 2
+
+                # A worker found dead before a job is sent costs no attempt.
+                process = srv.server._slots[0].process
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(timeout=30)
+                status = client.wait(client.submit(dict(SCENARIO)), timeout=120)
+                assert status["state"] == "done"
+                assert "failures" not in status
+                assert slot()["restarts"] == 3
+                fd_dir = f"/proc/{slot()['pid']}/fd"
+                if os.path.isdir(fd_dir):
+                    # Forked after the socket listens, the new process keeps
+                    # no inherited socket but its own pipe end.
+                    links = [os.readlink(f"{fd_dir}/{fd}") for fd in os.listdir(fd_dir)]
+                    assert sum(link.startswith("socket:") for link in links) == 1
+
+    def test_no_worker_process_outlives_the_server(self):
+        with ServerThread(workers=2, quota_rate=0) as srv:
+            with ReproClient(srv.host, srv.port) as client:
+                assert client.run(dict(SCENARIO), timeout=120)["kind"] == "run"
+                pids = [w["pid"] for w in client.healthz()["worker_processes"]]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.parametrize("backend", ["process-pool", "work-stealing"])
+    def test_sweep_backend_inside_a_worker_matches_local(self, backend, tmp_path):
+        store = str(tmp_path / "store") if backend == "work-stealing" else None
+        spec = dict(
+            SCENARIO, kind="sweep", policies=["local-lfd", "lru"], rus=[4, 6]
+        )
+        with ServerThread(
+            workers=1, quota_rate=0, backend=backend, store=store
+        ) as srv:
+            with ReproClient(srv.host, srv.port) as client:
+                remote = client.run(spec, timeout=300)["records"]
+        local = Session(workload=make_scenario("quick", length=40)).sweep(
+            [named_policy_spec("local-lfd"), named_policy_spec("lru")],
+            ru_counts=(4, 6),
+        )
+        assert remote == [dataclasses.asdict(r) for r in local.records]
+
+    def test_compiled_memo_is_bounded_lru(self):
+        memo = _CompiledMemo()
+        specs = [
+            parse_job_spec({"scenario": "quick", "scenario_kwargs": {"length": n}})
+            for n in range(2, COMPILED_MEMO_SIZE + 7)
+        ]
+        entries = [memo.get(spec) for spec in specs[:COMPILED_MEMO_SIZE]]
+        assert memo.get(specs[0]) is entries[0]  # a hit refreshes the entry
+        for spec in specs[COMPILED_MEMO_SIZE:]:
+            memo.get(spec)
+            assert len(memo) <= COMPILED_MEMO_SIZE
+        assert len(memo) == COMPILED_MEMO_SIZE
+        assert memo.get(specs[0]) is entries[0]  # recently used: kept
+        assert memo.get(specs[1]) is not entries[1]  # least recent: rebuilt
