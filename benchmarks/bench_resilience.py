@@ -13,7 +13,8 @@ a reduced paper-evaluation workload:
 
 Correctness is asserted alongside the timing: the checkpointed, the
 interrupted-and-resumed and the bare run all produce identical
-summaries.  Measurements land in
+summaries, and the recovery leg must actually restore the surviving
+checkpoint (a silent fresh start would make its latency meaningless).  Measurements land in
 ``benchmarks/results/BENCH_resilience.json`` (uploaded by the CI
 ``chaos`` job) so future PRs can track the trajectory.
 """
@@ -23,12 +24,14 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.artifacts.schema import decode_checkpoint
 from repro.artifacts.store import ArtifactStore
 from repro.core.policy_spec import named_policy_spec
+from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience import run_checkpoint_key
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import TraceSink
@@ -119,19 +122,31 @@ def test_checkpoint_overhead_size_and_recovery(tmp_path):
     checkpoint_bytes = len(json.dumps(payload))
 
     # --- leg 4: recovery — resume to completion, trace-identical -------
+    restores = []
+    real_resume = checkpoint_module.resume_from_store
+
+    def resume_spy(manager, store_, key_):
+        resumed = real_resume(manager, store_, key_)
+        restores.append((resumed, manager._events_done))
+        return resumed
+
     _BoomSink.armed = False
     try:
-        t0 = time.perf_counter()
-        resumed = _simulate(
-            workload,
-            checkpoint_every=every,
-            checkpoint_store=store,
-            checkpoint_key=key,
-            extra_sinks=[_BoomSink(boom_at)],
-        )
-        recovery_s = time.perf_counter() - t0
+        with mock.patch.object(checkpoint_module, "resume_from_store", resume_spy):
+            t0 = time.perf_counter()
+            resumed = _simulate(
+                workload,
+                checkpoint_every=every,
+                checkpoint_store=store,
+                checkpoint_key=key,
+                extra_sinks=[_BoomSink(boom_at)],
+            )
+            recovery_s = time.perf_counter() - t0
     finally:
         _BoomSink.armed = True
+    assert restores == [(True, payload["events_done"])], (
+        "the recovery run did not restore the checkpoint"
+    )
     assert resumed.summary() == bare.summary()
     assert not store.exists("checkpoint", key)
 

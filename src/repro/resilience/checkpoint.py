@@ -1,32 +1,33 @@
 """Checkpoint/resume of a running :class:`ExecutionManager`.
 
-A checkpoint is a consistent snapshot of the engine taken *between*
-events (the manager fires its checkpoint hook only at the bottom of the
-event loop): the columnar :class:`~repro.sim.columns.EngineState`, the
-event queue, the RU state machines, the advisor, the dispatch/window
-cursors and the trace-sink counters.  Restoring the snapshot into a
-freshly-constructed manager for the same workload/device/policy and
-running it produces an event-for-event byte-identical trace to the
-uninterrupted run — pinned by ``tests/test_resilience.py``.
+A checkpoint is :meth:`ExecutionManager.snapshot` pickled, taken
+*between* events (the manager fires its checkpoint hook only at the
+bottom of the event loop), plus a plain-JSON *fingerprint* of the run
+it belongs to.  ``snapshot()``/``restore()`` are the one capture of
+engine run state, so this module holds no field list and writes no
+manager attribute.  Restoring into a freshly-constructed manager for the
+same run and running it produces an event-for-event byte-identical
+trace to the uninterrupted run — pinned by ``tests/test_resilience.py``.
 
 Format: a versioned ``checkpoint`` artifact (see
-:mod:`repro.artifacts.schema`) whose payload carries a plain-JSON
-*fingerprint* (workload/device shape, validated before any unpickling)
-plus the engine snapshot as one base64 pickle.  One pickle, on purpose:
-the manager's correctness depends on *object identity* between the heap
-payload of an in-flight event and the ``RU.pending``/executing instance
-it refers to (``_handle_end_of_execution`` hard-fails on a mismatch),
-and a single pickle's memo table preserves exactly that sharing.
+:mod:`repro.artifacts.schema`) whose payload carries the fingerprint
+(workload and device shape, arrival times, manager semantics, advisor
+and policy classes — validated before any unpickling) plus the snapshot
+tuple as one base64 pickle.  One pickle, on purpose: the manager's
+correctness depends on *object identity* between the heap payload of an
+in-flight event and the ``RU.pending``/head instance it refers to
+(``_handle_end_of_execution`` hard-fails on a mismatch), and a single
+pickle's memo table preserves exactly that sharing.
 
-Sinks are snapshotted with one exception: a
-:class:`~repro.sim.tracing.JsonlTraceWriter` wraps a live file handle,
-so only its ``n_events`` counter is captured.  A resumed path-mode run
-therefore appends post-resume events to a *fresh* file; concatenating
-the pre-crash file truncated to ``n_events`` lines with the resumed file
-reproduces the uninterrupted capture byte-for-byte (docs/resilience.md).
+A :class:`~repro.sim.tracing.JsonlTraceWriter` wraps a live file handle,
+so its snapshot is only its ``n_events`` counter.  A resumed path-mode
+run therefore appends post-resume events to a *fresh* file;
+concatenating the pre-crash file truncated to ``n_events`` lines with
+the resumed file reproduces the uninterrupted capture byte-for-byte
+(docs/resilience.md).
 
 Corruption anywhere — truncated JSON, a garbled pickle, a fingerprint
-from a different workload — surfaces as
+from a different run, another trace-sink layout — surfaces as
 :class:`~repro.artifacts.store.ArtifactDecodeError` or
 :class:`CheckpointError`; the store path treats both as evict-as-miss
 and falls back to a fresh run.
@@ -38,34 +39,18 @@ import base64
 import hashlib
 import json
 import pickle
+from dataclasses import fields
 from typing import Dict, Optional
 
 from repro.exceptions import SimulationError
-from repro.sim.tracing import JsonlTraceWriter
 
 #: Bump when the snapshot layout changes; old checkpoints then decode as
 #: misses and the run restarts from scratch instead of mis-restoring.
-CHECKPOINT_VERSION = 1
-
-#: EngineState columns captured verbatim (order is part of the format).
-_COLUMNS = (
-    "remaining",
-    "unfinished",
-    "skipped",
-    "loc",
-    "win_counts",
-    "ru_cid",
-    "ru_app",
-    "ru_flat",
-)
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(SimulationError):
     """A checkpoint cannot be restored into this manager."""
-
-
-def _pack(obj) -> str:
-    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
 
 
 def _unpack(blob: str):
@@ -81,7 +66,9 @@ def run_checkpoint_key(content_key: str, label: str, device) -> str:
     The same run invoked again maps to the same key, which is what makes
     ``repro run --checkpoint`` resume automatically after a crash.  The
     whole :class:`~repro.hw.model.DeviceModel` fingerprint (floorplan,
-    latency model, controllers) is part of the key.
+    latency model, controllers) is part of the key; what else tells two
+    runs apart (arrival times, semantics) is in the fingerprint, so a
+    checkpoint of another run under the same key is evicted as a miss.
     """
     payload = json.dumps(
         [str(content_key), str(label), device.fingerprint()], sort_keys=True
@@ -89,8 +76,17 @@ def run_checkpoint_key(content_key: str, label: str, device) -> str:
     return "run-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
+def _class_name(obj) -> str:
+    cls = type(obj)
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def _fingerprint(manager) -> Dict[str, object]:
     compiled = manager.compiled
+    semantics = manager.semantics
+    advisor = manager.advisor
+    policy = getattr(advisor, "policy", None)
+    arrivals = json.dumps(manager._arrivals, default=int)
     return {
         "n_apps": int(compiled.n_apps),
         "n_tasks": int(compiled.n_tasks),
@@ -99,135 +95,60 @@ def _fingerprint(manager) -> Dict[str, object]:
         "device": json.loads(json.dumps(manager.device.fingerprint())),
         "graph_names": [capp.name for capp in compiled.graphs],
         "app_graph": [int(g) for g in compiled.app_graph],
+        "arrivals": hashlib.sha256(arrivals.encode("ascii")).hexdigest(),
+        "semantics": {
+            f.name: repr(getattr(semantics, f.name)) for f in fields(semantics)
+        },
+        "advisor": _class_name(advisor),
+        "policy": None if policy is None else _class_name(policy),
     }
 
 
-def capture_checkpoint(manager) -> Dict[str, object]:
+def capture_checkpoint(
+    manager, fingerprint: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
     """Snapshot a manager between events into a checkpoint payload.
 
     Only call from the manager's checkpoint hook (or with the manager
-    not running): mid-handler state is not a consistent cut.
+    not running): mid-handler state is not a consistent cut.  The
+    fingerprint is constant for a run, so a caller capturing the same
+    run repeatedly may pass it in.
     """
-    state = manager.state
-    snapshot = {
-        "columns": {name: list(getattr(state, name)) for name in _COLUMNS},
-        "apps_left": state.apps_left,
-        "clock": manager.clock,
-        "queue": manager.queue,
-        "rus": list(manager.rus),
-        "advisor": manager.advisor,
-        "dispatch": (
-            manager._dispatch_app,
-            manager._dispatch_pos,
-            manager._current_app,
-        ),
-        "head": (manager._head_da, manager._head_dp, manager._head_obj),
-        "free_controllers": list(manager._free_controllers),
-        "free_rus": list(manager._free_rus),
-        "ready": list(manager._ready),
-        "parked": {app: list(rus) for app, rus in manager._parked.items()},
-        "busy_cfgs": set(manager._busy_cfgs),
-        "forced_delays": dict(manager._forced_delays),
-        "window": (manager._win_add, manager._win_rem, manager._win_end_app),
-        "events_done": manager._events_done,
-        "sinks": [
-            ("jsonl", sink.n_events)
-            if isinstance(sink, JsonlTraceWriter)
-            else ("sink", sink)
-            for sink in manager._sinks
-        ],
-    }
     return {
         "version": CHECKPOINT_VERSION,
-        "fingerprint": _fingerprint(manager),
+        "fingerprint": fingerprint or _fingerprint(manager),
         "clock": int(manager.clock),
         "events_done": int(manager._events_done),
-        "apps_left": int(state.apps_left),
-        "engine_b64": _pack(snapshot),
+        "apps_left": int(manager.state.apps_left),
+        "engine_b64": base64.b64encode(pickle.dumps(manager.snapshot())).decode(
+            "ascii"
+        ),
     }
 
 
 def restore_checkpoint(manager, payload: Dict[str, object]) -> None:
     """Restore a captured payload into a freshly-constructed manager.
 
-    The manager must have been built with the same workload, device,
-    policy spec and trace configuration as the checkpointed run —
-    validated via the fingerprint and the sink shape before any state is
-    touched.  Raises :class:`CheckpointError` on any mismatch or
-    corruption; the manager is left unmodified in that case.
+    The manager must have been built for the same run — workload,
+    device, arrivals, semantics, advisor/policy and trace-sink layout —
+    which is validated before any state is touched.  Raises
+    :class:`CheckpointError` on any mismatch or corruption; the manager
+    is left unmodified in that case.
     """
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {payload.get('version')!r} != {CHECKPOINT_VERSION}"
         )
-    expected = _fingerprint(manager)
-    if payload.get("fingerprint") != expected:
+    if payload.get("fingerprint") != _fingerprint(manager):
         raise CheckpointError(
-            "checkpoint fingerprint does not match this run's workload/device"
+            "checkpoint fingerprint does not match this run's workload/device, "
+            "arrivals, semantics or policy"
         )
     snapshot = _unpack(payload["engine_b64"])
-
-    sink_tags = snapshot["sinks"]
-    if len(sink_tags) != len(manager._sinks):
-        raise CheckpointError(
-            f"checkpoint has {len(sink_tags)} trace sinks, this run has "
-            f"{len(manager._sinks)}; resume with the same trace configuration"
-        )
-    for (tag, value), sink in zip(sink_tags, manager._sinks):
-        if (tag == "jsonl") != isinstance(sink, JsonlTraceWriter):
-            raise CheckpointError(
-                "checkpoint trace-sink layout does not match this run"
-            )
-
-    state = manager.state
-    columns = snapshot["columns"]
-    for name in _COLUMNS:
-        # In place: the manager's hot-loop aliases (and the Dynamic-List
-        # window view over ``win_counts``) point at these exact lists.
-        getattr(state, name)[:] = columns[name]
-    state.apps_left = snapshot["apps_left"]
-
-    manager.clock = snapshot["clock"]
-    manager.queue = snapshot["queue"]
-    manager._push = manager.queue.push
-    manager.rus[:] = snapshot["rus"]
-    manager.advisor = snapshot["advisor"]
-    manager._bind_advisor()
-
-    (
-        manager._dispatch_app,
-        manager._dispatch_pos,
-        manager._current_app,
-    ) = snapshot["dispatch"]
-    manager._head_da, manager._head_dp, manager._head_obj = snapshot["head"]
-    manager._free_controllers[:] = snapshot["free_controllers"]
-    manager._free_rus[:] = snapshot["free_rus"]
-    manager._ready[:] = snapshot["ready"]
-    manager._parked.clear()
-    manager._parked.update(snapshot["parked"])
-    # In place: the scratch decision context aliases this set.
-    manager._busy_cfgs.clear()
-    manager._busy_cfgs.update(snapshot["busy_cfgs"])
-    manager._forced_delays.clear()
-    manager._forced_delays.update(snapshot["forced_delays"])
-    manager._win_add, manager._win_rem, manager._win_end_app = snapshot["window"]
-
-    primary_index = next(
-        i for i, sink in enumerate(manager._sinks) if sink is manager._trace_primary
-    )
-    restored_sinks = []
-    for (tag, value), sink in zip(sink_tags, manager._sinks):
-        if tag == "jsonl":
-            sink.n_events = value
-            restored_sinks.append(sink)
-        else:
-            restored_sinks.append(value)
-    manager._sinks = tuple(restored_sinks)
-    manager._trace_primary = manager._sinks[primary_index]
-    manager._bind_sinks()
-
-    manager._events_done = snapshot["events_done"]
-    manager._started = True
+    try:
+        manager.restore(snapshot)
+    except SimulationError as exc:
+        raise CheckpointError(f"cannot restore checkpoint: {exc}") from exc
 
 
 def arm_checkpointing(manager, every: int, store, key: str) -> None:
@@ -237,8 +158,11 @@ def arm_checkpointing(manager, every: int, store, key: str) -> None:
     if every < 1:
         raise SimulationError(f"checkpoint_every must be >= 1, got {every}")
 
+    fingerprint = _fingerprint(manager)
+
     def write(mgr) -> None:
-        store.put("checkpoint", key, encode_checkpoint(key, capture_checkpoint(mgr)))
+        payload = capture_checkpoint(mgr, fingerprint)
+        store.put("checkpoint", key, encode_checkpoint(key, payload))
 
     manager.set_cut_hook(write, int(every))
 

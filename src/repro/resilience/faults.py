@@ -57,12 +57,13 @@ class CrashSink(TraceSink):
     :class:`FaultError` at its 50th trace event — standing in for the
     process dying mid-simulation.
 
-    Instances are picklable, so they travel inside checkpoints like any
-    other sink.  The *armed* switch is class-level state, deliberately
-    **not** part of the pickle: a restored checkpoint carries the dead
-    run's event counter, but whether the fault fires again is the new
-    process's disposition — exactly like a real crash, where the restart
-    doesn't inherit the killer.  Call :meth:`disarm` before resuming to
+    Its run state (the instance attributes, the default
+    :meth:`~repro.sim.tracing.TraceSink.snapshot`) travels inside
+    checkpoints like any other sink's.  The *armed* switch is class-level
+    state, deliberately **not** part of it (nor of a pickle): a restored
+    checkpoint carries the dead run's event counter, but whether the
+    fault fires again is the new process's disposition — exactly like a
+    real crash, where the restart doesn't inherit the killer.  Call :meth:`disarm` before resuming to
     model "the fault was transient"; leave it armed to model a
     deterministic crasher.
     """

@@ -187,7 +187,7 @@ class _ScratchContext:
 SNAPSHOT_RUN_INVARIANT = frozenset({
     "apps",             # read-only views over ``state``
     "_push",            # bound to ``queue``, restored in place
-    "_sinks",           # the primary sink's state is captured
+    "_trace_primary",   # is ``_sinks[0]``; every sink is restored in place
     "skipped_events",   # the EngineState column aliases ...
     "_remaining",
     "_unfinished",
@@ -357,6 +357,9 @@ class ExecutionManager:
         self.advisor = advisor
         self._bind_advisor()
         self._trace_primary, self._sinks = resolve_trace_mode(trace, extra_sinks)
+        #: Sink class per position: a snapshot restores only into a run
+        #: whose sinks have the same layout.
+        self._sink_layout = tuple(type(sink).__qualname__ for sink in self._sinks)
         self._bind_sinks()
         #: Events handled so far (the checkpoint cadence counts them);
         #: ``_started`` is set once the run prologue (RunStart, advisor
@@ -486,9 +489,8 @@ class ExecutionManager:
 
         Per event kind: ``None`` when no sink listens, the one listening
         sink's hook, or a fan-out calling every listening hook in sink
-        order (the primary first).  Called from :meth:`arm` and again
-        after a checkpoint restore swaps the sinks (see
-        :mod:`repro.resilience.checkpoint`).
+        order (the primary first).  Called from :meth:`arm`; :meth:`restore`
+        writes sink state in place, so the bound hooks stay valid.
         """
         sink_hooks = [sink.scalar_hooks() for sink in self._sinks]
         for sink, hooks in zip(self._sinks, sink_hooks):
@@ -529,8 +531,8 @@ class ExecutionManager:
 
         ``None`` when the advisor (or the policy it forwards to) left the
         default no-op — stateless policies then pay nothing per
-        notification.  Called from ``__init__`` and again after a
-        checkpoint restore replaces the advisor instance.
+        notification.  Called from :meth:`arm` and again when
+        :meth:`restore` replaces the advisor instance.
         """
         advisor = self.advisor
         self._notify_load = resolve_hook(advisor.on_load_complete)
@@ -572,25 +574,24 @@ class ExecutionManager:
         """Copy every piece of run state :meth:`arm` sets, in memory.
 
         Valid after :meth:`arm` (before :meth:`run`) and from a cut hook
-        (:meth:`set_cut_hook`) — the cuts a checkpoint is valid at.
-        :meth:`restore` puts the state back, as often as needed, and
-        running on emits exactly the events the uninterrupted run emitted
-        after the cut.  Unlike a checkpoint nothing is pickled: containers
-        are copied and immutable values (task instances, configurations,
-        event tuples) shared.  The advisor is copied only when it keeps
-        run state (bookkeeping hooks or a ``reset`` override); of the
-        sinks only the primary one is captured, so a run with extra sinks
-        or a JSONL capture cannot be snapshotted.  The result is opaque.
+        (:meth:`set_cut_hook`).  :meth:`restore` puts the state back, as
+        often as needed, and running on emits exactly the events the
+        uninterrupted run emitted after the cut.  Containers are copied
+        and immutable values (task instances, configurations, event
+        tuples) shared.  The advisor is copied only when it keeps run
+        state (bookkeeping hooks or a ``reset`` override); every sink
+        contributes its own :meth:`~repro.sim.tracing.TraceSink.snapshot`
+        (a JSONL writer only its event count).  The result is opaque;
+        pickled whole it is a checkpoint's engine state
+        (:mod:`repro.resilience.checkpoint`), and one pickle keeps the
+        sharing between heap payloads and ``RU.pending``/``_head_obj``.
         """
-        if len(self._sinks) != 1:
-            raise SimulationError(
-                "snapshot() captures the primary trace sink only; this run "
-                f"has {len(self._sinks)} sinks"
-            )
         state = self.state
         queue = self.queue
         keeps_state = self._advisor_keeps_state
         return (
+            self._sink_layout,
+            [sink.snapshot() for sink in self._sinks],
             state.remaining[:],
             state.unfinished[:],
             state.skipped[:],
@@ -628,7 +629,6 @@ class ExecutionManager:
             self._started,
             copy.deepcopy(self.advisor) if keeps_state else self.advisor,
             keeps_state,
-            self._trace_primary.snapshot(),
         )
 
     def restore(
@@ -641,9 +641,19 @@ class ExecutionManager:
         ``forced_delays``, when given, replaces the captured delay budget
         — how a design-time probe resumes the reference run's prefix with
         its own delay (exact only while the delayed task has not reached
-        the dispatch head; see :mod:`repro.core.mobility`).
+        the dispatch head; see :mod:`repro.core.mobility`).  A snapshot
+        of a run with another sink layout raises :class:`SimulationError`
+        before anything is written.
         """
+        layout = snapshot[0]
+        if layout != self._sink_layout:
+            raise SimulationError(
+                f"snapshot trace sinks {list(layout)} do not match this run's "
+                f"{list(self._sink_layout)}; resume with the same trace "
+                "configuration"
+            )
         (
+            _layout, sink_states,
             remaining, unfinished, skipped, loc, win_counts,
             ru_cid, ru_app, ru_flat, apps_left,
             clock, heap, seq, last_popped, ru_fields,
@@ -653,7 +663,7 @@ class ExecutionManager:
             saved_delays,
             self._win_add, self._win_rem, self._win_end_app,
             self._events_done, self._started,
-            advisor, advisor_copied, sink_state,
+            advisor, advisor_copied,
         ) = snapshot
         # In place: the hot-loop column aliases, the Dynamic-List window
         # view and the scratch decision context point at these objects.
@@ -691,7 +701,8 @@ class ExecutionManager:
         elif advisor is not self.advisor:
             self.advisor = advisor
             self._bind_advisor()
-        self._trace_primary.restore(sink_state)
+        for sink, sink_state in zip(self._sinks, sink_states):
+            sink.restore(sink_state)
 
     def run(self) -> TraceView:
         """Execute the whole sequence and return the trace view.
@@ -729,8 +740,8 @@ class ExecutionManager:
         cut_hook = self._cut_hook
         guard = 0
         guard_limit = 1000 * self.compiled.n_tasks + 10_000
-        # Pop the heap directly; ``_last_popped`` is kept current so the
-        # queue (the checkpointed object) still rejects backwards pushes.
+        # Pop the heap directly; ``_last_popped`` is kept current (and
+        # snapshotted) so the queue still rejects backwards pushes.
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop

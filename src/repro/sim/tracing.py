@@ -33,6 +33,7 @@ derived from it.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import sys
@@ -282,6 +283,11 @@ class TraceSink:
     called exactly once when the run finishes (or aborts), so file-backed
     sinks can flush.  A sink instance observes a single run — the
     :class:`RunStart`/:class:`RunEnd` pair brackets its lifetime.
+
+    :meth:`snapshot`/:meth:`restore` capture the sink's run state for
+    :meth:`~repro.sim.manager.ExecutionManager.snapshot` (and so for
+    checkpoints); the default copies the instance's own attributes, so
+    class-level state stays out.
     """
 
     def on_event(self, event: TraceEvent) -> None:
@@ -293,6 +299,14 @@ class TraceSink:
 
     def close(self) -> None:
         """Release resources; called once after the run (even on error)."""
+
+    def snapshot(self) -> object:
+        """A copy of the sink's run state (see :meth:`restore`)."""
+        return copy.deepcopy(self.__dict__)
+
+    def restore(self, state: object) -> None:
+        """Put back what :meth:`snapshot` captured, in place."""
+        self.__dict__.update(copy.deepcopy(state))
 
     def scalar_hooks(self) -> Dict[str, Optional[Callable]]:
         """One callback (or ``None`` for an ignored kind) per event kind.
@@ -359,9 +373,7 @@ class FullTrace(TraceSink):
         }
 
     def snapshot(self) -> Optional[Trace]:
-        """A copy of the state, for
-        :meth:`~repro.sim.manager.ExecutionManager.snapshot` (which
-        covers runs whose only sink is the primary one)."""
+        """A copy of the record lists (records are shared)."""
         return None if self._trace is None else _copy_trace(self._trace)
 
     def restore(self, state: Optional[Trace]) -> None:
@@ -479,7 +491,7 @@ class AggregateTrace(TraceSink):
         return self
 
     def snapshot(self) -> Dict[str, object]:
-        """A copy of the counters (see :meth:`FullTrace.snapshot`)."""
+        """A copy of the counters."""
         state = self.__dict__.copy()
         state["_busy"] = dict(self._busy)
         return state
@@ -607,6 +619,15 @@ class JsonlTraceWriter(TraceSink):
             "b" in getattr(self._fh, "mode", "")
         )
         self.n_events = 0
+
+    def snapshot(self) -> int:
+        """Only the event count: the file handle is live.  A resumed run
+        appends to its own target, so the capture truncated to
+        ``n_events`` lines plus the resumed file is the whole stream."""
+        return self.n_events
+
+    def restore(self, state: int) -> None:
+        self.n_events = state
 
     def on_event(self, event: TraceEvent) -> None:
         if self._fh is None:

@@ -39,7 +39,9 @@ from repro.resilience import (
     run_checkpoint_key,
 )
 from repro.server import ServerThread
-from repro.session import Session
+from repro.session import Session, SessionHooks
+from repro.sim.manager import ExecutionManager
+from repro.sim.simtime import ms
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import TraceSink
 from repro.workloads.scenarios import quick_workload
@@ -441,6 +443,64 @@ class TestCheckpointResume:
         assert _trace_blob(resumed.trace) == blob
         assert resumed.makespan_us == makespan
 
+    @pytest.mark.parametrize("layout", ["fewer-sinks", "jsonl-moved"])
+    def test_other_sink_layout_is_refused_untouched(self, golden, tmp_path, layout):
+        """A checkpoint restores only into a run with the same trace-sink
+        layout (count, and where the JSONL writer sits): an explicit resume
+        raises, the store path starts fresh, and the refused manager is
+        left as it was."""
+        workload, _, makespan = golden
+        store = ArtifactStore(tmp_path / "ckpt")
+        crashed = {"extra_sinks": [_BoomSink(60)]}
+        if layout == "fewer-sinks":
+            def resume():
+                return {}
+        else:
+            crashed["trace"] = str(tmp_path / "events.jsonl")
+
+            def resume():
+                return {"trace": "aggregate",
+                        "extra_sinks": [_BoomSink(60), _BoomSink(60)]}
+        _BoomSink.armed = True
+        try:
+            with pytest.raises(_Interrupt):
+                _simulate(
+                    workload,
+                    checkpoint_every=16,
+                    checkpoint_store=store,
+                    checkpoint_key="L",
+                    **crashed,
+                )
+            payload = store.load("checkpoint", "L", decode_checkpoint)
+            assert payload["events_done"] > 0
+            _BoomSink.armed = False
+            with pytest.raises(CheckpointError, match="trace sinks"):
+                _simulate(workload, resume_from=payload, **resume())
+            manager = ExecutionManager(
+                workload.apps,
+                named_policy_spec("lru").make_advisor(),
+                device=workload.device,
+                **resume(),
+            )
+            before = pickle.dumps(manager.snapshot())
+            with pytest.raises(CheckpointError, match="trace sinks"):
+                checkpoint_module.restore_checkpoint(manager, payload)
+            assert pickle.dumps(manager.snapshot()) == before
+            assert manager.run().makespan == makespan
+            with _resume_log() as log:
+                result = _simulate(
+                    workload,
+                    checkpoint_every=16,
+                    checkpoint_store=store,
+                    checkpoint_key="L",
+                    **resume(),
+                )
+        finally:
+            _BoomSink.armed = True
+        assert log == [(False, 0)]
+        assert result.makespan_us == makespan
+        assert not store.exists("checkpoint", "L")
+
     def test_checkpoint_every_requires_store_and_key(self, golden):
         workload, _, _ = golden
         with pytest.raises(SimulationError, match="checkpoint_every"):
@@ -505,6 +565,47 @@ class TestSessionCheckpoint:
         session = Session(workload=workload, store=store)
         result = session.run(lru_spec(), checkpoint_every=25)
         assert result.summary() == baseline.summary()
+        assert store.keys_of_kind("checkpoint") == []
+
+    def test_checkpoint_of_other_arrivals_is_not_resumed(self, tmp_path):
+        """Regression: the key names workload, label and device only, so a
+        run without arrivals found the checkpoint of the same run with
+        arrivals and resumed it (makespan 2,350,000 µs instead of
+        2,246,000).  The fingerprint now tells them apart: the store path
+        evicts it as a miss, an explicit resume raises."""
+
+        class Crash(SessionHooks):
+            def trace_sinks(self, cell):
+                return [CrashSink(120)]
+
+        workload = quick_workload(length=30)
+        spec = named_policy_spec("lru")
+        store = ArtifactStore(tmp_path / "ckpt")
+        session = Session(workload=workload, store=store, hooks=[Crash()])
+        fresh = Session(workload=workload).run(spec)
+        arrivals = [ms(150) * i for i in range(len(workload.apps))]
+        try:
+            with pytest.raises(FaultError):
+                session.run(spec, arrival_times=arrivals, checkpoint_every=16)
+            (key,) = store.keys_of_kind("checkpoint")
+            payload = store.load("checkpoint", key, decode_checkpoint)
+            assert payload["events_done"] > 0
+            CrashSink.disarm()
+            with pytest.raises(CheckpointError, match="workload/device"):
+                run_simulation(
+                    workload.apps,
+                    spec.make_advisor(),
+                    extra_sinks=[CrashSink(120)],
+                    device=workload.device,
+                    resume_from=payload,
+                )
+            with _resume_log() as log:
+                resumed = session.run(spec, checkpoint_every=16)
+        finally:
+            CrashSink.arm()
+        assert log == [(False, 0)]
+        assert resumed.makespan_us == fresh.makespan_us == 2_246_000
+        assert resumed.overhead_us == fresh.overhead_us == 104_000
         assert store.keys_of_kind("checkpoint") == []
 
     def test_cli_accepts_checkpoint_flag(self):

@@ -3,15 +3,18 @@
 A snapshot taken at any between-event cut, restored and run on, must
 reproduce the uninterrupted run's full trace and makespan exactly — on
 random workloads, homogeneous, multi-controller and mixed-slot devices,
-stateless and stateful policies, and skip events.  A drift guard pins
-that every attribute ``arm()`` assigns is captured or declared
-run-invariant.
+stateless and stateful policies, and skip events — also after a pickle
+round trip into a freshly constructed manager, which is what a
+checkpoint is.  A drift guard pins that every attribute ``arm()``
+assigns is captured or declared run-invariant, and that the checkpoint
+module writes no manager attribute of its own.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import pickle
 import textwrap
 
 import pytest
@@ -27,9 +30,10 @@ from repro.exceptions import DispatchDeadlockError, SimulationError
 from repro.graphs.random_graphs import random_layered_graph
 from repro.hw.model import DeviceModel
 from repro.hw.presets import make_device
+from repro.resilience import checkpoint as checkpoint_module
 from repro.sim.manager import SNAPSHOT_RUN_INVARIANT, ExecutionManager
 from repro.sim.simtime import ms
-from repro.sim.tracing import AggregateTrace
+from repro.sim.tracing import TraceSink
 from repro.workloads.sequence import random_sequence
 
 POLICIES = {
@@ -39,6 +43,16 @@ POLICIES = {
     "clock": ClockPolicy,
     "random": lambda: RandomPolicy(seed=3),  # state behind reset() only
 }
+
+
+class _Counter(TraceSink):
+    """An extra sink with run state of its own."""
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def on_event(self, event) -> None:
+        self.n += 1
 
 
 def _trace_bytes(trace) -> str:
@@ -59,8 +73,8 @@ def _trace_bytes(trace) -> str:
 
 @st.composite
 def _runs(draw):
-    """A random workload, device and advisor (with mobility tables when
-    the advisor skips events)."""
+    """A random workload, device, policy and skip switch (the test
+    computes mobility tables when the advisor skips events)."""
     n_graphs = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     catalog = [
@@ -82,10 +96,7 @@ def _runs(draw):
         )
     policy = draw(st.sampled_from(sorted(POLICIES)))
     skip = draw(st.booleans())
-    tables = (
-        MobilityCalculator(device=device).compute_tables(apps) if skip else None
-    )
-    return apps, device, policy, skip, tables
+    return apps, device, policy, skip
 
 
 def _manager(apps, device, policy, skip, tables):
@@ -102,8 +113,13 @@ class TestSnapshotRoundTrip:
     @given(_runs(), st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_resume_from_any_cut_reproduces_the_run(self, run, data):
+        apps, device, policy, skip = run
         try:
-            manager = _manager(*run)
+            tables = (
+                MobilityCalculator(device=device).compute_tables(apps)
+                if skip else None
+            )
+            manager = _manager(apps, device, policy, skip, tables)
         except SimulationError:
             return  # a graph wider than the device: nothing to run
         start = manager.snapshot()
@@ -123,6 +139,11 @@ class TestSnapshotRoundTrip:
         for k in picks + [len(cuts) - 1, 0]:
             manager.restore(cuts[k])
             assert _trace_bytes(manager.run()) == reference, k
+        # Pickled whole (a checkpoint's engine state), a cut restores into
+        # a freshly constructed manager.
+        fresh = _manager(apps, device, policy, skip, tables)
+        fresh.restore(pickle.loads(pickle.dumps(cuts[picks[0]])))
+        assert _trace_bytes(fresh.run()) == reference
 
     def test_snapshot_survives_a_diverging_run(self):
         """Restoring after a run that took another path (a forced delay)
@@ -167,16 +188,35 @@ class TestSnapshotRoundTrip:
         stateful.restore(stateful.snapshot())
         assert stateful.advisor is not before
 
-    def test_extra_sinks_cannot_be_snapshotted(self):
-        manager = ExecutionManager(
-            graphs=[random_layered_graph("S", 3, seed=1)],
-            advisor=PolicyAdvisor(LRUPolicy()),
-            trace="aggregate",
-            extra_sinks=[AggregateTrace()],
-            device=DeviceModel.homogeneous(3, ms(4)),
-        )
-        with pytest.raises(SimulationError, match="primary trace sink"):
-            manager.snapshot()
+    def test_extra_stateful_sink_is_captured_and_restored(self):
+        def build():
+            counter = _Counter()
+            manager = ExecutionManager(
+                graphs=[random_layered_graph("S", 5, seed=1)],
+                advisor=PolicyAdvisor(LRUPolicy()),
+                extra_sinks=[counter],
+                device=DeviceModel.homogeneous(3, ms(4)),
+            )
+            return counter, manager
+
+        counter, manager = build()
+        cuts = []
+        manager.set_cut_hook(lambda mgr: cuts.append((counter.n, mgr.snapshot())))
+        reference = _trace_bytes(manager.run())
+        manager.set_cut_hook(None)
+        total = counter.n
+        seen, cut = cuts[len(cuts) // 2]
+        assert 0 < seen < total
+        manager.restore(cut)
+        assert counter.n == seen
+        assert _trace_bytes(manager.run()) == reference
+        assert counter.n == total
+        # Into a fresh manager, through a pickle: the new counter resumes.
+        fresh_counter, fresh = build()
+        fresh.restore(pickle.loads(pickle.dumps(cut)))
+        assert fresh_counter.n == seen
+        assert _trace_bytes(fresh.run()) == reference
+        assert fresh_counter.n == total
 
     def test_deadlock_is_its_own_error(self):
         graph = random_layered_graph("L", 4, seed=5)
@@ -254,3 +294,89 @@ class TestSnapshotDriftGuard:
     def test_invariant_list_names_real_attributes(self):
         armed = _self_targets(_method_tree("arm"))
         assert SNAPSHOT_RUN_INVARIANT <= armed
+
+
+# ----------------------------------------------------------------------
+# Checkpoint guard
+# ----------------------------------------------------------------------
+#: Methods that mutate a container in place.
+_MUTATORS = frozenset({
+    "add", "append", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "setdefault", "sort", "update",
+})
+
+
+def _manager_rooted(node, names=("manager", "mgr")):
+    """Whether ``node`` is ``manager.x``, ``manager.x[i]``, ``manager.x.y``..."""
+    seen_attribute = False
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        seen_attribute = seen_attribute or isinstance(node, ast.Attribute)
+        node = node.value
+    return seen_attribute and isinstance(node, ast.Name) and node.id in names
+
+
+def _manager_writes(tree):
+    """Every statement in ``tree`` that writes a manager attribute."""
+    writes = []
+
+    def check_target(target, node):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                check_target(element, node)
+        elif isinstance(target, ast.Starred):
+            check_target(target.value, node)
+        elif _manager_rooted(target):
+            writes.append(ast.unparse(node))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                check_target(target, node)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            check_target(node.target, node)
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                check_target(target, node)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _MUTATORS
+                and _manager_rooted(func.value)
+            ) or (
+                isinstance(func, ast.Name)
+                and func.id in ("setattr", "delattr")
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in ("manager", "mgr")
+            ):
+                writes.append(ast.unparse(node))
+    return writes
+
+
+class TestCheckpointHasNoFieldList:
+    """``restore()`` is the only writer of run state: the checkpoint
+    module pickles ``snapshot()`` and hands it back, so a second field
+    list cannot grow back there."""
+
+    def test_checkpoint_module_writes_no_manager_attribute(self):
+        tree = ast.parse(inspect.getsource(checkpoint_module))
+        assert _manager_writes(tree) == []
+
+    def test_the_guard_sees_each_kind_of_write(self):
+        source = textwrap.dedent(
+            """
+            def restore(manager, snap):
+                manager.clock = snap[0]
+                manager._head_da, manager._head_dp = snap[1]
+                manager.state.remaining[:] = snap[2]
+                manager._parked.update(snap[3])
+                manager._busy_cfgs.clear()
+                manager._events_done += 1
+                setattr(manager, "_started", True)
+                manager.restore(snap)
+                manager.set_cut_hook(None)
+                other.x = manager.clock
+            """
+        )
+        assert len(set(_manager_writes(ast.parse(source)))) == 7
