@@ -61,15 +61,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.policies.registry import available_policies
-from repro.core.policy_spec import named_policy_spec
 from repro.exceptions import ReproError
-from repro.hw import (
-    available_device_presets,
-    make_device,
-    parse_latency_model,
-)
+from repro.hw import available_device_presets
 from repro.experiments import ablation as ablation_mod
 from repro.experiments import fig9, hybrid_speedup, motivational, report, table1, table2
+from repro.run_spec import RunSpec, SpecError
 from repro.session import Session, SessionHooks
 from repro.workloads.scenarios import (
     PAPER_SEQUENCE_LENGTH,
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         choices=available_policies(),
         default="local-lfd",
-        help="replacement policy for the 'run' command (default: local-lfd)",
+        help="replacement policy for run/submit (default: local-lfd)",
     )
     parser.add_argument(
         "--controllers",
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "parallel reconfiguration controllers for the 'run' command; "
+            "parallel reconfiguration controllers for run/submit; "
             "forwarded to scenarios with a 'controllers' knob (e.g. "
             "multi-controller), otherwise overrides the device model"
         ),
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         default=None,
         help=(
-            "reconfiguration latency model for the 'run' command: "
+            "reconfiguration latency model for run/submit: "
             "'fixed:<us>' or 'per-kb:<us_per_kb>[+<base_us>]' "
             "(bitstream-size-proportional)"
         ),
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_device_presets(),
         default=None,
         help=(
-            "device preset for the 'run' command (overrides the "
+            "device preset for run/submit (overrides the "
             "scenario's device; see docs/device-model.md)"
         ),
     )
@@ -296,17 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="W",
-        help="Dynamic-List lookahead window for the 'run' command (default: 1)",
+        help="Dynamic-List lookahead window for run/submit (>= 0, default: 1)",
     )
     parser.add_argument(
         "--skip-events",
         action="store_true",
-        help="enable the skip-event feature for the 'run' command",
+        help="enable the skip-event feature for run/submit",
     )
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="provide the clairvoyant reference string for the 'run' command",
+        help="provide the clairvoyant reference string for run/submit",
     )
     parser.add_argument(
         "--profile",
@@ -474,17 +470,45 @@ def _store_from_args(args: argparse.Namespace, default: bool = False):
     return None
 
 
+def _scenario_kwargs(args: argparse.Namespace) -> dict:
+    """``--length``/``--seed`` for the factories that take them (round-robin
+    takes no seed)."""
+    parameters = scenario_info(args.scenario).parameters
+    kwargs = {"length": args.length, "seed": args.seed}
+    return {k: v for k, v in kwargs.items() if v is not None and k in parameters}
+
+
 def _workload(args: argparse.Namespace):
-    info = scenario_info(args.scenario)
-    kwargs = {"length": args.length}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "controllers", None) is not None:
-        kwargs["controllers"] = args.controllers
-    # Only forward knobs the factory actually has (round-robin takes no
-    # seed, most scenarios take no controller count).
-    kwargs = {k: v for k, v in kwargs.items() if k in info.parameters}
-    return make_scenario(args.scenario, **kwargs)
+    return make_scenario(args.scenario, **_scenario_kwargs(args))
+
+
+def _run_spec(args: argparse.Namespace) -> RunSpec:
+    """The :class:`RunSpec` the ``run``/``submit`` flags describe."""
+    sweep = args.sweep
+    n_rus = None
+    if not sweep and args.rus != list(fig9.PAPER_RU_COUNTS):  # user passed --rus
+        if len(args.rus) != 1:
+            raise SpecError(
+                f"{args.command!r} executes one device; give a single --rus value"
+                + (" (or --sweep)" if args.command == "submit" else "")
+            )
+        n_rus = args.rus[0]
+    return RunSpec(
+        scenario=args.scenario,
+        kind="sweep" if sweep else "run",
+        scenario_kwargs=tuple(sorted(_scenario_kwargs(args).items())),
+        preset=args.device,
+        controllers=args.controllers,
+        latency_model=args.latency_model,
+        n_rus=n_rus,
+        policy=args.policy,
+        policies=tuple(args.policies or [args.policy]) if sweep else (),
+        window=args.window,
+        oracle=args.oracle,
+        skip_events=args.skip_events,
+        rus=tuple(args.rus) if sweep else (),
+        events=args.events or args.stream,
+    )
 
 
 class _ProgressHook(SessionHooks):
@@ -498,13 +522,8 @@ class _ProgressHook(SessionHooks):
 
 def _run_single(args: argparse.Namespace) -> int:
     """The ``run`` subcommand: one policy, one scenario, one trace mode."""
-    spec = named_policy_spec(
-        args.policy,
-        window=args.window,
-        oracle=args.oracle,
-        skip_events=args.skip_events,
-    )
-    label = spec.label
+    run_spec = _run_spec(args)
+    (spec,) = run_spec.policy_specs()
     # --trace-out is unambiguously a path (or '-' for stdout): wrap real
     # paths in Path so the mode-vs-path typo heuristic never rejects
     # e.g. 'trace.log'.
@@ -517,54 +536,26 @@ def _run_single(args: argparse.Namespace) -> int:
     # With events going to stdout, the human-readable summary moves to
     # stderr so the JSONL stream stays machine-parseable.
     out = sys.stderr if args.trace_out == "-" else sys.stdout
-    n_rus = None
-    if args.rus != list(fig9.PAPER_RU_COUNTS):  # user passed --rus
-        if len(args.rus) != 1:
-            print(
-                "error: 'run' executes one device; give a single --rus value",
-                file=sys.stderr,
-            )
-            return 2
-        n_rus = args.rus[0]
-    workload = _workload(args)
-    preset = make_device(args.device) if args.device else None
+    workload = run_spec.workload()
     session = Session(
-        device=preset,
+        device=run_spec.device(workload),
         workload=workload,
         trace=trace_mode,
         store=_store_from_args(args),
     )
-    # Hardware overrides on top of the session device: --controllers (when
-    # the scenario factory did not already consume it) and --latency-model.
-    model = session.device
-    factory_params = scenario_info(args.scenario).parameters
-    if args.controllers is not None and "controllers" not in factory_params:
-        model = model.with_controllers(args.controllers)
-    if args.latency_model is not None:
-        model = model.with_latency_model(parse_latency_model(args.latency_model))
     if args.profile is not None:
         import cProfile
         import pstats
 
         profiler = cProfile.Profile()
         profiler.enable()
-        result = session.run(
-            spec,
-            n_rus=n_rus,
-            device=model,
-            checkpoint_every=args.checkpoint or 0,
-        )
+        result = session.run(spec, checkpoint_every=args.checkpoint or 0)
         profiler.disable()
     else:
-        result = session.run(
-            spec,
-            n_rus=n_rus,
-            device=model,
-            checkpoint_every=args.checkpoint or 0,
-        )
-    if n_rus is not None:
-        model = model.with_n_rus(n_rus)
-    print(f"{label} on {session.workload.name!r} ({model.describe()}):", file=out)
+        result = session.run(spec, checkpoint_every=args.checkpoint or 0)
+    print(
+        f"{spec.label} on {workload.name!r} ({session.device.describe()}):", file=out
+    )
     for key, value in result.summary().items():
         print(f"  {key:>24}: {value}", file=out)
     if args.trace_out:
@@ -740,46 +731,14 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace) -> dict:
-    """Build the job-spec payload the daemon expects from CLI flags."""
-    info = scenario_info(args.scenario)
-    kwargs = {"length": args.length}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    kwargs = {k: v for k, v in kwargs.items() if k in info.parameters}
-    spec: dict = {
-        "scenario": args.scenario,
-        "scenario_kwargs": kwargs,
-        "window": args.window,
-        "oracle": args.oracle,
-        "skip_events": args.skip_events,
-    }
-    if args.sweep:
-        spec["kind"] = "sweep"
-        spec["policies"] = args.policies or [args.policy]
-        spec["rus"] = list(args.rus)
-    else:
-        spec["kind"] = "run"
-        spec["policy"] = args.policy
-        if args.events or args.stream:
-            spec["events"] = True
-        if args.rus != list(fig9.PAPER_RU_COUNTS):  # user passed --rus
-            if len(args.rus) != 1:
-                raise SystemExit(
-                    "error: a run job uses one device; give a single --rus "
-                    "value (or --sweep)"
-                )
-            spec["n_rus"] = args.rus[0]
-    return spec
-
-
 def _run_submit(args: argparse.Namespace) -> int:
     """The ``submit`` command: send a job to a running daemon."""
     import json
 
     from repro.client import RemoteJobError, ReproClient
 
-    spec = _submit_spec(args)
+    spec = _run_spec(args).as_dict()
+    RunSpec.from_dict(spec)  # a bad value exits 2 here, before any connection
     client = ReproClient(args.host, args.port, client_id=args.client_id)
     try:
         job_id = client.submit(spec)
@@ -905,9 +864,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 2
     for flag, value, allowed in (
-        ("--device", args.device, ("run",)),
-        ("--latency-model", args.latency_model, ("run",)),
-        ("--controllers", args.controllers, ("run",)),
+        ("--device", args.device, ("run", "submit")),
+        ("--latency-model", args.latency_model, ("run", "submit")),
+        ("--controllers", args.controllers, ("run", "submit")),
         ("--profile", args.profile, ("run",)),
         ("--workers", args.workers, ("serve",)),
         ("--quota-rate", args.quota_rate, ("serve",)),

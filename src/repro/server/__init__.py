@@ -14,24 +14,13 @@ Everything here is standard library only — no new runtime dependencies.
 """
 
 from repro.server.daemon import ReproServer, ServerThread
-from repro.server.jobs import (
-    Job,
-    JobCancelled,
-    JobSpec,
-    JobSpecError,
-    JobState,
-    TokenBucket,
-    parse_job_spec,
-)
+from repro.server.jobs import Job, JobCancelled, JobState, TokenBucket
 
 __all__ = [
     "Job",
     "JobCancelled",
-    "JobSpec",
-    "JobSpecError",
     "JobState",
     "ReproServer",
     "ServerThread",
     "TokenBucket",
-    "parse_job_spec",
 ]

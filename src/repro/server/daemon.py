@@ -57,10 +57,10 @@ import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.artifacts.keys import workload_content_key
 from repro.artifacts.store import ArtifactStore
 from repro.backends import CellBatch, resolve_backend
 from repro.exceptions import ExperimentError
@@ -73,21 +73,12 @@ from repro.server.http import (
     read_request,
     stream_head,
 )
-from repro.server.jobs import (
-    ChannelWriter,
-    Job,
-    JobCancelled,
-    JobSpec,
-    JobSpecError,
-    JobState,
-    TokenBucket,
-    parse_job_spec,
-)
+from repro.run_spec import RunSpec, SpecError
+from repro.server.jobs import ChannelWriter, Job, JobCancelled, JobState, TokenBucket
 from repro.session import ArtifactCache, Session, SessionHooks
 from repro.sim.simulator import run_simulation
 from repro.sim.tracing import SCALAR_HOOK_KEYS, JsonlTraceWriter, TraceSink
 from repro.workloads.compiled import CompiledWorkload
-from repro.workloads.scenarios import make_scenario
 from repro.workloads.sequence import Workload
 
 
@@ -156,36 +147,39 @@ class _JobHooks(SessionHooks):
 # ----------------------------------------------------------------------
 # Worker-process side (module level so it pickles under spawn too)
 # ----------------------------------------------------------------------
-#: Compiled workloads one simulation process keeps (least recently used
-#: out first).  Every cold job brings a fresh workload, so the memo must
-#: not grow with the job count; 16 covers a handful of warm workloads
-#: interleaved with cold ones.
+#: Workloads the daemon, and compiled workloads each simulation process,
+#: keep (least recently used out first).  Every cold job brings a fresh
+#: workload, so the memos must not grow with the job count; 16 covers a
+#: handful of warm workloads interleaved with cold ones.
 COMPILED_MEMO_SIZE = 16
 
 #: JSONL lines a simulation process batches into one message.
 _EVENT_BATCH = 256
 
 
-class _CompiledMemo:
-    """A bounded LRU of ``(workload, compiled)`` per scenario call."""
+def _compile(spec: RunSpec) -> Tuple[Workload, CompiledWorkload]:
+    workload = spec.workload()
+    return workload, CompiledWorkload.compile(tuple(workload.apps))
 
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[Tuple, Tuple[Workload, CompiledWorkload]]" = (
-            OrderedDict()
-        )
+
+class _WorkloadMemo:
+    """A bounded LRU of ``build(spec)`` per scenario call
+    (:attr:`RunSpec.workload_key`); by default ``(workload, compiled)``."""
+
+    def __init__(self, build: Callable[[RunSpec], object] = _compile) -> None:
+        self._build = build
+        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, spec: JobSpec) -> Tuple[Workload, CompiledWorkload]:
-        key = (spec.scenario, spec.scenario_kwargs)
+    def get(self, spec: RunSpec):
+        key = spec.workload_key
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        workload = make_scenario(spec.scenario, **dict(spec.scenario_kwargs))
-        entry = (workload, CompiledWorkload.compile(tuple(workload.apps)))
-        self._entries[key] = entry
+        entry = self._entries[key] = self._build(spec)
         if len(self._entries) > COMPILED_MEMO_SIZE:
             self._entries.popitem(last=False)
         return entry
@@ -249,7 +243,7 @@ class _SlotJob:
 
 
 def _simulate(
-    job: _SlotJob, spec: JobSpec, content_key, cells, artifacts, memo, backend
+    job: _SlotJob, spec: RunSpec, content_key, cells, artifacts, memo, backend
 ):
     """One job's run-time phase; returns the job's result payload."""
     workload, compiled = memo.get(spec)
@@ -326,7 +320,7 @@ def _slot_main(conn, flag, backend_name: Optional[str], store) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the daemon owns Ctrl-C
     _drop_inherited_sockets(conn.fileno())
     daemon_pid = os.getppid()
-    memo = _CompiledMemo()
+    memo = _WorkloadMemo()
     backend = resolve_backend(backend_name, store=store)
     try:
         while True:
@@ -546,9 +540,11 @@ class ReproServer:
         self._slots: List[_WorkerSlot] = []
         self._free_slots: "queue.SimpleQueue[_WorkerSlot]" = queue.SimpleQueue()
         self._buckets: Dict[str, TokenBucket] = {}
-        self._workloads: Dict[Tuple, Tuple] = {}
+        self._workloads = _WorkloadMemo(RunSpec.workload)
         self._workload_lock = threading.Lock()
-        self._design_locks: Dict[str, threading.Lock] = {}
+        #: Per-workload design-time lock and its holder count; an entry
+        #: goes when its last holder releases it.
+        self._design_locks: Dict[Tuple, List] = {}
         self._locks_guard = threading.Lock()
         self._seq = 0
         #: Accepted-but-not-started jobs (the ``max_pending`` backlog).
@@ -682,7 +678,7 @@ class ReproServer:
             return await self._route(request, client)
         except ProtocolError as exc:
             return json_response(exc.status, {"error": str(exc)})
-        except JobSpecError as exc:
+        except SpecError as exc:
             return json_response(400, {"error": str(exc)})
         except Exception as exc:  # never kill the connection loop
             return json_response(500, {"error": f"{type(exc).__name__}: {exc}"})
@@ -815,7 +811,7 @@ class ReproServer:
                 },
                 extra_headers=[("Retry-After", "1")],
             )
-        spec = parse_job_spec(request.json())
+        spec = RunSpec.from_dict(request.json())
         self._seq += 1
         job_id = f"j{self._seq:06d}-{uuid.uuid4().hex[:8]}"
         job = Job(job_id, spec, client, self._loop)
@@ -915,19 +911,20 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Job execution (dispatch threads)
     # ------------------------------------------------------------------
-    def _workload_for(self, spec):
-        key = (spec.scenario, spec.scenario_kwargs)
-        with self._workload_lock:
-            entry = self._workloads.get(key)
-            if entry is None:
-                workload = make_scenario(spec.scenario, **dict(spec.scenario_kwargs))
-                entry = (workload, workload_content_key(workload))
-                self._workloads[key] = entry
-        return entry
-
-    def _design_lock(self, content_key: str) -> threading.Lock:
+    @contextmanager
+    def _design_lock(self, key: Tuple):
+        """Hold the design-time lock of one workload."""
         with self._locks_guard:
-            return self._design_locks.setdefault(content_key, threading.Lock())
+            entry = self._design_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._locks_guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._design_locks[key]
 
     def _add_pending(self, delta: int) -> None:
         # ``+=`` on an attribute is a read-modify-write the GIL may split.
@@ -948,17 +945,18 @@ class ReproServer:
                 raise ExperimentError(
                     f"injected: attempt {job.attempts} of job {job.id} failed"
                 )
-            workload, content_key = self._workload_for(job.spec)
-            specs = job.spec.policy_specs()
-            session = Session(workload=workload, cache=self.cache)
-            if job.spec.kind == "sweep":
-                ru_axis: Tuple[int, ...] = job.spec.rus
-            else:
-                ru_axis = (job.spec.n_rus or session.device.n_rus,)
+            spec = job.spec
+            with self._workload_lock:
+                workload = self._workloads.get(spec)
+            specs = spec.policy_specs()
+            session = Session(
+                device=spec.device(workload), workload=workload, cache=self.cache
+            )
+            ru_axis = spec.rus if spec.kind == "sweep" else (session.device.n_rus,)
             # Design-time phase under the per-workload lock: the first
             # cold job pays it once; concurrent identical jobs wait a
             # beat and then hit the shared cache instead of recomputing.
-            with self._design_lock(content_key):
+            with self._design_lock(spec.workload_key):
                 session.compiled()
                 for policy_spec in specs:
                     for n_rus in ru_axis:
@@ -973,7 +971,9 @@ class ReproServer:
             artifacts = session._execute_plan(plan)
             slot = self._free_slots.get()
             try:
-                job.result = slot.run(job, content_key, plan.cells, artifacts)
+                job.result = slot.run(
+                    job, session._content_key, plan.cells, artifacts
+                )
             finally:
                 self._free_slots.put(slot)
             job.finish(JobState.DONE)

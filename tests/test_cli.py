@@ -209,6 +209,10 @@ class TestBadValues:
                 ["worker", "--store", "{tmp}", "--once", "--ttl", "0"],
                 "lease_ttl must be > 0 seconds, got 0.0",
             ),
+            (
+                ["submit", "--scenario", "quick", "--window", "-1", "--port", "1"],
+                "field 'window' must be an integer >= 0, got -1",
+            ),
         ],
     )
     def test_library_errors_exit_2_without_traceback(

@@ -581,7 +581,7 @@ class TestCLIDeviceFlags:
         from repro.cli import main
 
         assert main(["fig2", "--controllers", "2"]) == 2
-        assert "only supported by the 'run' command" in capsys.readouterr().err
+        assert "only supported by the 'run'/'submit' commands" in capsys.readouterr().err
 
     def test_scenarios_lists_factory_defaults(self, capsys):
         from repro.cli import main

@@ -29,14 +29,9 @@ from repro.client import (
 )
 from repro.exceptions import ExperimentError
 from repro.resilience.faults import FaultPlan
-from repro.server import (
-    JobSpecError,
-    ReproServer,
-    ServerThread,
-    TokenBucket,
-    parse_job_spec,
-)
-from repro.server.daemon import COMPILED_MEMO_SIZE, _CompiledMemo, _JobHooks
+from repro.run_spec import RunSpec, SpecError
+from repro.server import ReproServer, ServerThread, TokenBucket
+from repro.server.daemon import COMPILED_MEMO_SIZE, _JobHooks, _WorkloadMemo
 from repro.server.jobs import Job, JobCancelled
 from repro.session import Session, SessionHooks
 from repro.sim.tracing import SCALAR_HOOK_KEYS, TraceSink, trace_from_jsonl
@@ -63,14 +58,14 @@ def client(server):
 # ----------------------------------------------------------------------
 class TestParseJobSpec:
     def test_minimal_run_spec_defaults(self):
-        spec = parse_job_spec({"scenario": "quick"})
+        spec = RunSpec.from_dict({"scenario": "quick"})
         assert spec.kind == "run"
         assert spec.policy == "local-lfd"
         assert spec.n_cells == 1
         assert not spec.events
 
     def test_sweep_cells_and_policy_specs(self):
-        spec = parse_job_spec(
+        spec = RunSpec.from_dict(
             {
                 "kind": "sweep",
                 "scenario": "quick",
@@ -91,7 +86,7 @@ class TestParseJobSpec:
             ({"scenario": "quick", "kind": "walk"}, "'kind'"),
             ({"kind": "run"}, "'scenario' is required"),
             ({"scenario": "quick", "policy": "no-such"}, "unknown policy"),
-            ({"scenario": "quick", "window": 0}, "'window'"),
+            ({"scenario": "quick", "window": -1}, "'window'"),
             ({"scenario": "quick", "window": True}, "'window'"),
             ({"scenario": "quick", "n_rus": "four"}, "'n_rus'"),
             ({"scenario": "quick", "rus": [4]}, "only valid for 'sweep'"),
@@ -114,14 +109,19 @@ class TestParseJobSpec:
                 "JSON scalar",
             ),
             ([1, 2], "JSON object"),
+            (
+                {"kind": "sweep", "scenario": "quick", "rus": [4], "policies": [[1]]},
+                "'policies'",
+            ),
+            ({"scenario": "quick", "deadline_s": float("nan")}, "'deadline_s'"),
         ],
     )
     def test_rejections_name_the_offence(self, payload, message):
-        with pytest.raises(JobSpecError, match=message):
-            parse_job_spec(payload)
+        with pytest.raises(SpecError, match=message):
+            RunSpec.from_dict(payload)
 
     def test_as_dict_round_trips(self):
-        spec = parse_job_spec(
+        spec = RunSpec.from_dict(
             {
                 "kind": "sweep",
                 "scenario": "quick",
@@ -130,7 +130,7 @@ class TestParseJobSpec:
                 "rus": [4],
             }
         )
-        assert parse_job_spec(spec.as_dict()) == spec
+        assert RunSpec.from_dict(spec.as_dict()) == spec
 
 
 class TestTokenBucket:
@@ -295,7 +295,7 @@ def test_job_hooks_cancel_a_run_within_256_events():
     :class:`JobCancelled` within 256 events of the flag being set."""
     loop = asyncio.new_event_loop()
     try:
-        job = Job("j1", parse_job_spec({"scenario": "huge-stream"}), "t", loop)
+        job = Job("j1", RunSpec.from_dict({"scenario": "huge-stream"}), "t", loop)
     finally:
         loop.close()
     flag_at = 1000
@@ -349,6 +349,25 @@ class TestEventStreaming:
         remote_summary = client.result(job_id)["summary"]
         for key, value in trace.summary().items():
             assert remote_summary[key] == value
+
+    @pytest.mark.parametrize(
+        "device", [["big-little-4", "--latency-model", "per-kb:8"], ["paper-2ctrl"]]
+    )
+    def test_submit_stream_is_byte_identical_to_run_trace_out(
+        self, server, device, tmp_path, capsysbinary
+    ):
+        from repro.cli import main
+
+        flags = ["--scenario", "quick", "--length", "30", "--device", *device]
+        where = ["--host", server.host, "--port", str(server.port)]
+        assert main(["submit", *flags, "--stream", *where]) == 0
+        streamed = capsysbinary.readouterr().out
+        path = tmp_path / "run.jsonl"
+        assert main(["run", *flags, "--trace-out", str(path)]) == 0
+        assert streamed == path.read_bytes()
+        assert json.loads(streamed.splitlines()[0])["n_controllers"] == (
+            2 if device == ["paper-2ctrl"] else 1
+        )
 
     def test_reconnect_resumes_from_offset(self, client):
         job_id = client.submit(dict(SCENARIO, events=True))
@@ -456,7 +475,8 @@ class TestConcurrency:
 
     def test_pending_count_returns_to_zero_under_contention(self):
         """Submits (loop thread), attempt starts and requeues (worker
-        threads) all move the backlog counter; none may lose an update."""
+        threads) all move the backlog counter, and every attempt takes and
+        drops a design-lock entry; none may lose an update."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -478,6 +498,8 @@ class TestConcurrency:
                 assert states <= {"done", "dead"}
                 assert faults.fired("daemon.job.fail") > 0
                 assert srv.server._n_pending == 0
+                # Every design-lock holder also released its entry.
+                assert srv.server._design_locks == {}
         finally:
             sys.setswitchinterval(interval)
 
@@ -626,10 +648,27 @@ class TestWorkerProcesses:
         )
         assert remote == [dataclasses.asdict(r) for r in local.records]
 
+    def test_daemon_memos_stay_bounded(self):
+        with ServerThread(workers=1, quota_rate=0) as srv:
+            with ReproClient(srv.host, srv.port) as client:
+                results = [
+                    client.run(
+                        {"scenario": "quick",
+                         "scenario_kwargs": {"length": 10, "seed": seed}},
+                        timeout=120,
+                    )["summary"]
+                    for seed in range(40)
+                ]
+            assert len(srv.server._workloads) <= COMPILED_MEMO_SIZE
+            assert srv.server._design_locks == {}
+        for seed, remote in enumerate(results):
+            local = Session(workload=make_scenario("quick", length=10, seed=seed))
+            assert remote == local.run(named_policy_spec("local-lfd")).summary()
+
     def test_compiled_memo_is_bounded_lru(self):
-        memo = _CompiledMemo()
+        memo = _WorkloadMemo()
         specs = [
-            parse_job_spec({"scenario": "quick", "scenario_kwargs": {"length": n}})
+            RunSpec.from_dict({"scenario": "quick", "scenario_kwargs": {"length": n}})
             for n in range(2, COMPILED_MEMO_SIZE + 7)
         ]
         entries = [memo.get(spec) for spec in specs[:COMPILED_MEMO_SIZE]]
